@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the package.
 
 None of these share logic with the code paths they validate: squares are
-decided by integer square roots or by squaring every residue, comodule
+decided by integer square roots or by squaring every residue, separability
+by a Euclid gcd on plain int / Fraction coefficient lists, comodule
 decompositions by enumerating line closures over a finite field, and
 extension spaces by solving for all perturbed coactions modulo change of
 splitting.
@@ -10,6 +11,7 @@ splitting.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 
 from superhopf import superlin
@@ -33,6 +35,40 @@ def rational_is_square(num: int, den: int) -> bool:
 
 def mod_p_squares(p: int):
     return {(a * a) % p for a in range(p)}
+
+
+# ---------------------------------------------------------------------------
+# separability of a univariate polynomial over Q (p = 0) or F_p
+
+
+def _trim(coeffs, p):
+    out = [c % p for c in coeffs] if p else list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _remainder(a, b, p):
+    a = list(a)
+    while len(a) >= len(b):
+        lead = a[-1] * pow(b[-1], -1, p) % p if p else Fraction(a[-1]) / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= lead * c
+        a = _trim(a, p)
+    return a
+
+
+def is_separable(coeffs, p: int) -> bool:
+    """gcd(f, f') == 1 for f given low degree first, with int coefficients
+    (read mod p when p > 0)."""
+    a = _trim(coeffs, p)
+    b = _trim([i * c for i, c in enumerate(coeffs)][1:], p)
+    if not b:
+        return False
+    while b:
+        a, b = b, _remainder(a, b, p)
+    return len(a) == 1
 
 
 # ---------------------------------------------------------------------------

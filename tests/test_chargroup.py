@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from superhopf.chargroup import (
     solve_int,
     subgroup_kernel,
 )
-from superhopf.fields import GF, QQ, QuadraticField
+from superhopf.fields import GF, QQ, FunctionField, QuadraticField
 
 
 def _matmul(a, b):
@@ -147,6 +148,33 @@ def test_subgroup_kernel_closure_randomized():
         assert ker.contains(prod)
         assert ker.contains(a.inverse())
         assert x.pair(prod).is_zero()
+
+
+KERNEL_FIELDS = [QQ(), GF(5), GF(3), FunctionField(5, "t"), FunctionField(3, "t"),
+                 FunctionField(0, "t"), QuadraticField(-1), QuadraticField(2)]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_subgroup_kernel_matches_pairing(field):
+    """h lies in ker(x) exactly when <x, h> = 0, on a box of exponents."""
+    rng = random.Random(29)
+    p = field.characteristic
+    for group in (GroupDescriptor(2, ()), GroupDescriptor(3, ()), GroupDescriptor(1, (4,)),
+                  GroupDescriptor(1, (15,))):
+        for _ in range(4):
+            # values drawn from the integer span of one or two elements, so
+            # that the kernel is often larger than the torsion part
+            span = [field.random(rng) for _ in range(rng.randint(1, 2))]
+            free = [sum((s * rng.randint(-2, 2) for s in span), field.zero())
+                    for _ in range(group.free_rank)]
+            torsion = [field.random(rng) if p and n % p == 0 else field.zero()
+                       for n in group.torsion]
+            x = LieFunctional(group, field, free=free, torsion=torsion)
+            ker = subgroup_kernel(x)
+            ranges = [range(-2, 3)] * group.free_rank + [range(n) for n in group.torsion]
+            for exps in itertools.product(*ranges):
+                h = group.character(list(exps))
+                assert ker.contains(h) == x.pair(h).is_zero(), (x.free, x.torsion, exps)
 
 
 def test_subgroup_structure_and_quotient():

@@ -146,3 +146,95 @@ def test_json_roundtrip():
     assert Field.from_json({"kind": "Fp", "p": 5}).p == 5
     assert Field.from_json({"kind": "Fpt", "p": 5, "var": "t"}).var == "t"
     assert Field.from_json({"kind": "Qsqrt", "d": -1}).d == -1
+
+
+def _qsqrt(field, a0, a1):
+    return field.from_fraction(a0) + field.from_fraction(a1) * field.generator()
+
+
+def _qsqrt_ref(op, x, y, d):
+    (a, b), (c, e) = x, y
+    if op == "add":
+        return a + c, b + e
+    if op == "sub":
+        return a - c, b - e
+    if op == "mul":
+        return a * c + b * e * d, a * e + b * c
+    norm = c * c - e * e * d
+    ci, ei = c / norm, -e / norm
+    return a * ci + b * ei * d, a * ei + b * ci
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_prime_field_ops_match_ints_mod_p(p):
+    F = GF(p)
+    rng = random.Random(p)
+    for _ in range(200):
+        x, y = rng.randrange(p), rng.randrange(p)
+        a, b = F.from_int(x), F.from_int(y)
+        assert str(a + b) == str((x + y) % p)
+        assert str(a - b) == str((x - y) % p)
+        assert str(a * b) == str((x * y) % p)
+        assert str(-a) == str(-x % p)
+        assert a.is_zero() == (x == 0)
+        if y:
+            assert str(a / b) == str(x * pow(y, p - 2, p) % p)
+            assert str(b.inverse()) == str(pow(y, p - 2, p))
+
+
+def test_rational_ops_match_fraction():
+    Q = QQ()
+    rng = random.Random(31)
+    for _ in range(300):
+        x = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+        y = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+        a, b = Q.from_fraction(x), Q.from_fraction(y)
+        assert str(a + b) == str(x + y)
+        assert str(a - b) == str(x - y)
+        assert str(a * b) == str(x * y)
+        assert str(-a) == str(-x)
+        assert a + 3 == Q.from_fraction(x + 3) and 3 - a == Q.from_fraction(3 - x)
+        if y:
+            assert str(a / b) == str(x / y)
+            assert str(b.inverse()) == str(1 / y)
+
+
+@pytest.mark.parametrize("d", [-1, 2, -3, 5])
+def test_quadratic_ops_match_rational_pairs(d):
+    K = QuadraticField(d)
+    rng = random.Random(d + 50)
+
+    def rand():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4)), Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    for _ in range(150):
+        x, y = rand(), rand()
+        a, b = _qsqrt(K, *x), _qsqrt(K, *y)
+        for op, got in (("add", a + b), ("sub", a - b), ("mul", a * b)):
+            assert got == _qsqrt(K, *_qsqrt_ref(op, x, y, d))
+        assert -a == _qsqrt(K, -x[0], -x[1])
+        assert a.is_zero() == (x == (0, 0))
+        if y != (0, 0):
+            assert a / b == _qsqrt(K, *_qsqrt_ref("div", x, y, d))
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+def test_equal_elements_hash_equal(field):
+    rng = random.Random(3)
+    for _ in range(30):
+        a, b = field.random(rng), field.random(rng)
+        if b.is_zero():
+            continue
+        c = (a * b) / b
+        assert c == a and hash(c) == hash(a)
+        assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+
+
+def test_descriptor_mismatch_between_fields_of_one_kind():
+    pairs = [(GF(5), GF(7)), (FunctionField(5, "t"), FunctionField(5, "s")),
+             (FunctionField(5, "t"), FunctionField(0, "t")), (QuadraticField(-1), QuadraticField(2))]
+    for f, g in pairs:
+        with pytest.raises(DescriptorMismatch):
+            f.one() + g.one()
+        with pytest.raises(DescriptorMismatch):
+            f.one() * g.one()

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,8 @@ from superhopf.smoothcheck import (
     polynomial_matrix_rank,
     presentation_from_algebra,
 )
+
+from oracles import is_separable
 
 Q = QQ()
 F5 = GF(5)
@@ -87,6 +90,44 @@ def test_separable_torsion_relation():
     pres_bad = SuperAlgebraPresentation(F5, ("u",), ["u^5 - 1"], ("z",))
     assert is_regular(pres_bad).regular is False
     assert not is_smooth(pres_bad).smooth
+
+
+def _separability_case(field, d, c):
+    pres = SuperAlgebraPresentation(field, ("u",), [f"u^{d} - ({c})"], ("z",))
+    return is_regular(pres), is_smooth(pres)
+
+
+@pytest.mark.parametrize("p", [0, 3, 5, 7])
+def test_separability_matches_euclid_oracle(p):
+    field = QQ() if p == 0 else GF(p)
+    consts = [Fraction(0), Fraction(1), Fraction(-1), Fraction(4), Fraction(-3, 2)] if p == 0 \
+        else list(range(p))
+    for d in range(1, 11):
+        for c in consts:
+            coeffs = [-c] + [0] * (d - 1) + [1]
+            sep = is_separable(coeffs, p)
+            why = "derivative vanishes" if p and d % p == 0 else \
+                "separable" if sep else "repeated roots"
+            reg, smooth = _separability_case(field, d, c)
+            assert reg.regular is sep, (p, d, c)
+            assert smooth.smooth is sep and smooth.base_smooth is sep, (p, d, c)
+            assert smooth.certificate["even_quotient"] == [f"u: {why}"], (p, d, c)
+            if not sep:
+                assert f"even quotient: u-relation not reduced ({why})" in reg.reasons
+
+
+def test_separability_over_function_field():
+    K = FunctionField(5, "t")
+    for rel, why in (("u^5 - t", "derivative vanishes"), ("u^2", "repeated roots")):
+        pres = SuperAlgebraPresentation(K, ("u",), [rel], ("z",))
+        smooth = is_smooth(pres)
+        assert not smooth.smooth and smooth.certificate["even_quotient"] == [f"u: {why}"]
+        with pytest.raises(UndecidableBase):
+            is_regular(pres)
+    pres = SuperAlgebraPresentation(K, ("u",), ["u^3 - t"], ("z",))
+    assert is_regular(pres).regular
+    smooth = is_smooth(pres)
+    assert smooth.smooth and smooth.certificate["even_quotient"] == ["u: separable"]
 
 
 def test_confluence_guards():
