@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import dgxrep, hcp, hopfcore, smoothcheck
-from .chargroup import GroupDescriptor, LieFunctional
+from .chargroup import GroupDescriptor, GroupMismatch, LieFunctional
 from .fields import Field, FieldError
 from .hcp import GXData, HarishChandraPair, SubPair
 
@@ -44,11 +44,14 @@ def _field_from_flag(flag: str) -> Field:
 def _load(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError as exc:
         raise ParseError(f"input file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: top-level value must be a JSON object")
+    return data
 
 
 def _require(data, key, path):
@@ -484,6 +487,7 @@ def main(argv=None):
         return 2
     except (
         FieldError,
+        GroupMismatch,
         hopfcore.InvalidGX,
         hopfcore.WindowRequired,
         hcp.InvalidSubPair,

@@ -1,4 +1,4 @@
-"""Monomial Hopf superalgebras on a basis h * t^a * z^eps.
+r"""Monomial Hopf superalgebras on a basis h * t^a * z^eps.
 
 The algebra is K[X] (x) K[t_1..t_k] (x) /\(z) with at most one odd generator
 z, super-commutative multiplication, and structure maps fixed on generators:
@@ -207,7 +207,7 @@ class AxiomReport:
 
 
 class MonomialHopfSuperalgebra:
-    """K[X] (x) K[t_1..t_k] (x) /\(z) with the structure maps above.
+    r"""K[X] (x) K[t_1..t_k] (x) /\(z) with the structure maps above.
 
     with_z=False gives the purely even algebra of the base group. Structure
     data (g, x) is required exactly when z is present. `delta_z_override`

@@ -238,6 +238,15 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_malformed_input_exit_2(tmp_path, capsys):
+    bad_g = write(tmp_path, "bad_g.json", dict(MU4_GGX, g=[2, 5]))
+    code, report = run(tmp_path, capsys, ["build-ggx", "--input", bad_g])
+    assert code == 2 and "GroupMismatch" in report["error"]
+    not_object = write(tmp_path, "list.json", [1, 2])
+    code, report = run(tmp_path, capsys, ["smooth", "--input", not_object])
+    assert code == 2 and "JSON object" in report["error"]
+
+
 def test_selftest_and_determinism(tmp_path, capsys):
     code, first = run(tmp_path, capsys, ["selftest", "--seed", "7"])
     assert code == 0 and first["passed"]
