@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .fields import Field, FieldElement, _pdivmod, _pmul
+from . import superlin
+from .fields import GF, Field, FieldElement
 
 
 class GroupMismatch(Exception):
@@ -514,7 +514,7 @@ def subgroup_kernel(x: LieFunctional) -> Subgroup:
     n = group.ncoords
     values = list(x.character_values())
     p = field.characteristic
-    rows = _prime_field_rows(field, values)
+    rows = field.prime_field_rows(values)
     gens = []
     if p == 0:
         int_rows = []
@@ -537,68 +537,13 @@ def subgroup_kernel(x: LieFunctional) -> Subgroup:
             e[group.free_rank + i] = 1
             gens.append(group.character(e))
     else:
-        basis = _mod_p_nullspace(rows, n, p)
-        for vec in basis:
-            gens.append(group.character(vec))
+        Fp = GF(p)
+        rows = [[Fp.from_int(c) for c in row] for row in rows]
+        for vec in superlin.kernel_basis(rows, Fp):
+            gens.append(group.character([c.prime_value() for c in vec]))
         for j in range(n):
             e = [0] * n
             e[j] = p
             gens.append(group.character(e))
     gens = [g for g in gens if not g.is_identity()]
     return Subgroup(group, gens)
-
-
-def _prime_field_rows(field: Field, values):
-    """Coordinates of field elements over the prime field, one row per
-    coordinate, one column per value."""
-    k = field.kind
-    if k in ("Q", "Fp"):
-        return [[v._v for v in values]]
-    if k == "Qsqrt":
-        return [[v._v[0] for v in values], [v._v[1] for v in values]]
-    # function field: clear denominators, rows are numerator coefficients
-    p = field.p
-    common = (field._one_coeff(),)
-    for v in values:
-        common = _pmul(common, v._v[1], p)
-    nums = []
-    deg = 1
-    for v in values:
-        scaled = _pmul(v._v[0], _pdivmod(common, v._v[1], p)[0], p)
-        nums.append(scaled)
-        deg = max(deg, len(scaled))
-    zero = Fraction(0) if p == 0 else 0
-    return [[num[i] if i < len(num) else zero for num in nums] for i in range(deg)]
-
-
-def _mod_p_nullspace(rows, ncols, p):
-    """Nullspace basis of a matrix over F_p, entries lifted to small ints."""
-    A = [[int(x) % p for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(A)):
-            if A[i][c] % p:
-                pr = i
-                break
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        inv = pow(A[r][c], -1, p)
-        A[r] = [(x * inv) % p for x in A[r]]
-        for i in range(len(A)):
-            if i != r and A[i][c] % p:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-A[i][fc]) % p
-        basis.append(vec)
-    return basis

@@ -1,8 +1,13 @@
 """Exact field arithmetic over Q, F_p, F_p(t) / Q(t), and Q(sqrt(d)).
 
-Every element is immutable and stored in a unique canonical form (reduced
-fraction, reduced residue, reduced rational function with monic denominator,
-or rational pair a + b*sqrt(d)), so equality is a plain representation check.
+Each field kind is a `Field` subclass that owns the arithmetic on its raw
+values: a Fraction for Q, a reduced residue for F_p, a reduced pair of
+coefficient tuples (numerator, monic denominator) for F_p(t) / Q(t), and a
+rational pair a + b*sqrt(d) for Q(sqrt(d)). The factories QQ, GF,
+FunctionField and QuadraticField, and Field.from_json, intern descriptors:
+equal fields are the same object, so an element operation checks its
+operands' field with `is` and delegates to it. Every value is kept in a
+unique canonical form, so equality is a plain representation check.
 Characteristic 2 is rejected at descriptor construction.
 """
 
@@ -102,7 +107,10 @@ def _cinv(x, p):
     return Fraction(1) / x
 
 
-def _pdivmod(a, b, p):
+def poly_divmod(a, b, p):
+    """Quotient and remainder of coefficient tuples (low degree first, `b`
+    without trailing zeros). Coefficients are residues mod p when p > 0; when
+    p == 0 they may be Fractions or elements of any Field."""
     if not b:
         raise DivisionByZero("polynomial division by zero")
     a = list(a)
@@ -123,16 +131,11 @@ def _pdivmod(a, b, p):
 
 
 def _pgcd(a, b, p):
-    a, b = _pnorm(a, p), _pnorm(b, p)
     while b:
-        a, b = b, _pdivmod(a, b, p)[1]
+        a, b = b, poly_divmod(a, b, p)[1]
     if a:
         a = _pscale(a, _cinv(a[-1], p), p)
     return a
-
-
-def _pderiv(a, p):
-    return _pnorm([i * a[i] for i in range(1, len(a))], p)
 
 
 def _pstr(c, var):
@@ -190,86 +193,46 @@ def _sqrt_mod_p(a: int, p: int):
     return r
 
 
-class Field:
-    """Descriptor of one of the supported exact fields.
+# the interned descriptors, keyed by (kind, p, var, d)
+_FIELDS = {}
 
-    kind is one of "Q", "Fp", "Fpt", "Qsqrt". Construct through the
-    module-level factories (QQ, GF, FunctionField, QuadraticField).
+
+class Field:
+    """Descriptor of one supported exact field; one subclass per kind.
+
+    `kind` is "Q", "Fp", "Fpt" or "Qsqrt". Obtain descriptors from the
+    module-level factories (QQ, GF, FunctionField, QuadraticField) or
+    Field.from_json, which return one shared instance per field. The
+    underscore methods are the kind's arithmetic on raw values; the defaults
+    here serve the prime fields, whose raw values are plain numbers.
     """
 
-    __slots__ = ("kind", "p", "var", "d")
+    __slots__ = ("p", "var", "d", "_hash")
+    kind = None
 
-    def __init__(self, kind, p=None, var=None, d=None):
-        if kind == "Fp":
-            if not _is_prime(p):
-                raise FieldError(f"{p} is not prime")
-            if p == 2:
-                raise FieldError("characteristic 2 is not supported")
-        elif kind == "Fpt":
-            if p != 0:
-                if not _is_prime(p):
-                    raise FieldError(f"{p} is not prime")
-                if p == 2:
-                    raise FieldError("characteristic 2 is not supported")
-            if not var or not var.isidentifier():
-                raise FieldError("function field needs a variable name")
-        elif kind == "Qsqrt":
-            if d in (0, 1) or not _is_squarefree(d):
-                raise FieldError(f"d={d} must be square-free and not a square")
-        elif kind != "Q":
-            raise FieldError(f"unknown field kind {kind!r}")
-        self.kind = kind
-        self.p = p
-        self.var = var
-        self.d = d
-
-    # -- identity -----------------------------------------------------------
-    def _key(self):
-        return (self.kind, self.p, self.var, self.d)
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and self._key() == other._key()
+    @classmethod
+    def _get(cls, p=None, var=None, d=None):
+        key = (cls.kind, p, var, d)
+        field = _FIELDS.get(key)
+        if field is None:
+            field = _FIELDS[key] = object.__new__(cls)
+            field.p, field.var, field.d, field._hash = p, var, d, hash(key)
+        return field
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
-    def __repr__(self):
-        if self.kind == "Q":
-            return "Field(Q)"
-        if self.kind == "Fp":
-            return f"Field(F{self.p})"
-        if self.kind == "Fpt":
-            base = "Q" if self.p == 0 else f"F{self.p}"
-            return f"Field({base}({self.var}))"
-        return f"Field(Q(sqrt({self.d})))"
+    def __reduce__(self):
+        # copies and unpickled descriptors must be the interned instance
+        return Field.from_json, (self.to_json(),)
 
     @property
     def characteristic(self):
-        if self.kind == "Fp":
-            return self.p
-        if self.kind == "Fpt":
-            return self.p
-        return 0
+        return self.p or 0
 
     # -- constructors ---------------------------------------------------------
-    def from_int(self, n: int) -> "FieldElement":
-        if self.kind == "Q":
-            return FieldElement(self, Fraction(n))
-        if self.kind == "Fp":
-            return FieldElement(self, n % self.p)
-        if self.kind == "Fpt":
-            c = Fraction(n) if self.p == 0 else n % self.p
-            return FieldElement(self, (_pnorm((c,), self.p), (self._one_coeff(),)))
-        return FieldElement(self, (Fraction(n), Fraction(0)))
-
     def from_fraction(self, q: Fraction) -> "FieldElement":
         q = Fraction(q)
-        if self.kind == "Q":
-            return FieldElement(self, q)
-        if self.kind == "Qsqrt":
-            return FieldElement(self, (q, Fraction(0)))
-        if self.characteristic == 0 and self.kind == "Fpt":
-            return FieldElement(self, (_pnorm((q,), 0), (Fraction(1),)))
         return self.from_int(q.numerator) / self.from_int(q.denominator)
 
     def zero(self):
@@ -278,65 +241,23 @@ class Field:
     def one(self):
         return self.from_int(1)
 
-    def _one_coeff(self):
-        return Fraction(1) if self.p == 0 else 1
-
     def generator(self) -> "FieldElement":
         """t for function fields, sqrt(d) for quadratic extensions."""
-        if self.kind == "Fpt":
-            zero = Fraction(0) if self.p == 0 else 0
-            return FieldElement(self, ((zero, self._one_coeff()), (self._one_coeff(),)))
-        if self.kind == "Qsqrt":
-            return FieldElement(self, (Fraction(0), Fraction(1)))
         raise Unsupported(f"{self!r} has no distinguished generator")
-
-    def random(self, rng) -> "FieldElement":
-        if self.kind == "Q":
-            return FieldElement(self, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-        if self.kind == "Fp":
-            return self.from_int(rng.randrange(self.p))
-        if self.kind == "Qsqrt":
-            return FieldElement(
-                self,
-                (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-3, 3))),
-            )
-        deg = rng.randint(0, 2)
-        num = [rng.randint(-3, 3) if self.p == 0 else rng.randrange(self.p) for _ in range(deg + 1)]
-        elem = FieldElement(self, (_pnorm(num, self.p), (self._one_coeff(),)))
-        if rng.random() < 0.3:
-            den = self.generator() + self.from_int(rng.randint(1, 3))
-            elem = elem / den
-        return elem
 
     # -- parsing / serialization ----------------------------------------------
     def parse(self, src) -> "FieldElement":
         if isinstance(src, FieldElement):
-            if src.field != self:
+            if src.field is not self:
                 raise DescriptorMismatch("element belongs to a different field")
             return src
         if isinstance(src, int):
             return self.from_int(src)
-        atoms = {}
-        funcs = {}
-        if self.kind == "Fpt":
-            atoms[self.var] = self.generator()
-        if self.kind == "Qsqrt":
-            def _sqrt(arg):
-                if arg != self.from_int(self.d):
-                    raise FieldError(f"only sqrt({self.d}) lives in this field")
-                return self.generator()
+        return _expr.evaluate(str(src), self.from_int, *self._parse_names())
 
-            funcs["sqrt"] = _sqrt
-        return _expr.evaluate(str(src), self.from_int, atoms, funcs)
-
-    def to_json(self):
-        if self.kind == "Q":
-            return {"kind": "Q"}
-        if self.kind == "Fp":
-            return {"kind": "Fp", "p": self.p}
-        if self.kind == "Fpt":
-            return {"kind": "Fpt", "p": self.p, "var": self.var}
-        return {"kind": "Qsqrt", "d": self.d}
+    def _parse_names(self):
+        """(atoms, functions) the expression parser may use."""
+        return {}, {}
 
     @staticmethod
     def from_json(data) -> "Field":
@@ -351,21 +272,302 @@ class Field:
             return QuadraticField(data["d"])
         raise FieldError(f"unknown field kind {kind!r}")
 
+    def prime_field_rows(self, values):
+        """Coordinates of the elements `values` over the prime field (Fraction
+        or int values, reduced mod p in characteristic p): one row per
+        coordinate, one column per value."""
+        return [[v._v for v in values]]
+
+    # -- raw-value arithmetic ---------------------------------------------------
+    def _is_zero(self, a):
+        return a == 0
+
+    def _prime(self, a):
+        """The value in Q or F_p, or None if it is not in the prime field."""
+        return a
+
+    def _str(self, a):
+        return str(a)
+
+
+class RationalField(Field):
+    __slots__ = ()
+    kind = "Q"
+
+    def __repr__(self):
+        return "Field(Q)"
+
+    def to_json(self):
+        return {"kind": "Q"}
+
+    def from_int(self, n: int) -> "FieldElement":
+        return FieldElement(self, Fraction(n))
+
+    def from_fraction(self, q: Fraction) -> "FieldElement":
+        return FieldElement(self, Fraction(q))
+
+    def random(self, rng) -> "FieldElement":
+        return FieldElement(self, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+
+    def _add(self, a, b):
+        return a + b
+
+    def _neg(self, a):
+        return -a
+
+    def _mul(self, a, b):
+        return a * b
+
+    def _inv(self, a):
+        return 1 / a
+
+    def _sqrt(self, a):
+        r = _sqrt_fraction(a)
+        return None if r is None else FieldElement(self, r)
+
+
+class PrimeField(Field):
+    __slots__ = ()
+    kind = "Fp"
+
+    def __repr__(self):
+        return f"Field(F{self.p})"
+
+    def to_json(self):
+        return {"kind": "Fp", "p": self.p}
+
+    def from_int(self, n: int) -> "FieldElement":
+        return FieldElement(self, n % self.p)
+
+    def random(self, rng) -> "FieldElement":
+        return self.from_int(rng.randrange(self.p))
+
+    def _add(self, a, b):
+        return (a + b) % self.p
+
+    def _neg(self, a):
+        return -a % self.p
+
+    def _mul(self, a, b):
+        return a * b % self.p
+
+    def _inv(self, a):
+        return pow(a, -1, self.p)
+
+    def _sqrt(self, a):
+        r = _sqrt_mod_p(a, self.p)
+        return None if r is None else FieldElement(self, r)
+
+
+class RationalFunctionField(Field):
+    """F_p(t), or Q(t) when p == 0; coefficients are ints mod p or Fractions."""
+
+    __slots__ = ()
+    kind = "Fpt"
+
+    def __repr__(self):
+        base = "Q" if self.p == 0 else f"F{self.p}"
+        return f"Field({base}({self.var}))"
+
+    def to_json(self):
+        return {"kind": "Fpt", "p": self.p, "var": self.var}
+
+    def _one_coeff(self):
+        return Fraction(1) if self.p == 0 else 1
+
+    def from_int(self, n: int) -> "FieldElement":
+        c = Fraction(n) if self.p == 0 else n % self.p
+        return FieldElement(self, (_pnorm((c,), self.p), (self._one_coeff(),)))
+
+    def generator(self) -> "FieldElement":
+        zero = Fraction(0) if self.p == 0 else 0
+        return FieldElement(self, ((zero, self._one_coeff()), (self._one_coeff(),)))
+
+    def random(self, rng) -> "FieldElement":
+        deg = rng.randint(0, 2)
+        num = [rng.randint(-3, 3) if self.p == 0 else rng.randrange(self.p) for _ in range(deg + 1)]
+        elem = FieldElement(self, (_pnorm(num, self.p), (self._one_coeff(),)))
+        if rng.random() < 0.3:
+            den = self.generator() + self.from_int(rng.randint(1, 3))
+            elem = elem / den
+        return elem
+
+    def _parse_names(self):
+        return {self.var: self.generator()}, {}
+
+    def prime_field_rows(self, values):
+        # clear denominators; rows are numerator coefficients
+        p = self.p
+        common = (self._one_coeff(),)
+        for v in values:
+            common = _pmul(common, v._v[1], p)
+        nums = [_pmul(v._v[0], poly_divmod(common, v._v[1], p)[0], p) for v in values]
+        deg = max([1] + [len(num) for num in nums])
+        zero = Fraction(0) if p == 0 else 0
+        return [[num[i] if i < len(num) else zero for num in nums] for i in range(deg)]
+
+    def _reduce(self, num, den):
+        """Canonical form of num/den, both normalised and den nonzero."""
+        p = self.p
+        if not num:
+            return ((), (self._one_coeff(),))
+        g = _pgcd(num, den, p)
+        if len(g) > 1:
+            num = poly_divmod(num, g, p)[0]
+            den = poly_divmod(den, g, p)[0]
+        lead = _cinv(den[-1], p)
+        return (_pscale(num, lead, p), _pscale(den, lead, p))
+
+    def _is_zero(self, a):
+        return not a[0]
+
+    def _add(self, a, b):
+        (an, ad), (bn, bd), p = a, b, self.p
+        return self._reduce(_padd(_pmul(an, bd, p), _pmul(bn, ad, p), p), _pmul(ad, bd, p))
+
+    def _neg(self, a):
+        return (_pneg(a[0], self.p), a[1])
+
+    def _mul(self, a, b):
+        (an, ad), (bn, bd), p = a, b, self.p
+        return self._reduce(_pmul(an, bn, p), _pmul(ad, bd, p))
+
+    def _inv(self, a):
+        return self._reduce(a[1], a[0])
+
+    def _prime(self, a):
+        num, den = a
+        if len(num) <= 1 and den == (self._one_coeff(),):
+            return num[0] if num else (Fraction(0) if self.p == 0 else 0)
+        return None
+
+    def _sqrt(self, a):
+        c = self._prime(a)
+        if c is None:
+            raise Unsupported("is_square is only decided on the prime subfield")
+        if self.p == 0:
+            r = _sqrt_fraction(c)
+            return None if r is None else self.from_fraction(r)
+        r = _sqrt_mod_p(c, self.p)
+        return None if r is None else self.from_int(r)
+
+    def _str(self, a):
+        num, den = a
+        ns = _pstr(num, self.var)
+        if den == (self._one_coeff(),):
+            return ns
+        return f"({ns})/({_pstr(den, self.var)})"
+
+
+class QuadraticExtension(Field):
+    """Q(sqrt(d)); raw values are rational pairs (a, b) for a + b*sqrt(d)."""
+
+    __slots__ = ()
+    kind = "Qsqrt"
+
+    def __repr__(self):
+        return f"Field(Q(sqrt({self.d})))"
+
+    def to_json(self):
+        return {"kind": "Qsqrt", "d": self.d}
+
+    def from_int(self, n: int) -> "FieldElement":
+        return FieldElement(self, (Fraction(n), Fraction(0)))
+
+    def from_fraction(self, q: Fraction) -> "FieldElement":
+        return FieldElement(self, (Fraction(q), Fraction(0)))
+
+    def generator(self) -> "FieldElement":
+        return FieldElement(self, (Fraction(0), Fraction(1)))
+
+    def random(self, rng) -> "FieldElement":
+        return FieldElement(
+            self,
+            (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-3, 3))),
+        )
+
+    def _parse_names(self):
+        def _sqrt(arg):
+            if arg != self.from_int(self.d):
+                raise FieldError(f"only sqrt({self.d}) lives in this field")
+            return self.generator()
+
+        return {}, {"sqrt": _sqrt}
+
+    def prime_field_rows(self, values):
+        return [[v._v[0] for v in values], [v._v[1] for v in values]]
+
+    def _is_zero(self, a):
+        return a == (0, 0)
+
+    def _add(self, x, y):
+        return (x[0] + y[0], x[1] + y[1])
+
+    def _neg(self, x):
+        return (-x[0], -x[1])
+
+    def _mul(self, x, y):
+        (a, b), (c, e) = x, y
+        return (a * c + b * e * self.d, a * e + b * c)
+
+    def _inv(self, x):
+        a, b = x
+        norm = a * a - b * b * self.d
+        return (a / norm, -b / norm)
+
+    def _prime(self, x):
+        return x[0] if x[1] == 0 else None
+
+    def _sqrt(self, x):
+        q = self._prime(x)
+        if q is None:
+            raise Unsupported("is_square is only decided on the prime subfield")
+        r = _sqrt_fraction(q)
+        if r is not None:
+            return self.from_fraction(r)
+        r = _sqrt_fraction(q / self.d)
+        if r is not None:
+            return self.from_fraction(r) * self.generator()
+        return None
+
+    def _str(self, x):
+        a, b = x
+        if b == 0:
+            return str(a)
+        bs = f"sqrt({self.d})" if b == 1 else f"{b}*sqrt({self.d})"
+        if a == 0:
+            return bs
+        return f"{a}+{bs}".replace("+-", "-")
+
+
+def _prime(p) -> int:
+    if not isinstance(p, int) or not _is_prime(p):
+        raise FieldError(f"{p} is not prime")
+    if p == 2:
+        raise FieldError("characteristic 2 is not supported")
+    return p
+
 
 def QQ() -> Field:
-    return Field("Q")
+    return RationalField._get()
 
 
 def GF(p: int) -> Field:
-    return Field("Fp", p=p)
+    return PrimeField._get(p=_prime(p))
 
 
 def FunctionField(p: int, var: str = "t") -> Field:
-    return Field("Fpt", p=p, var=var)
+    if p != 0 or not isinstance(p, int):
+        _prime(p)
+    if not var or not var.isidentifier():
+        raise FieldError("function field needs a variable name")
+    return RationalFunctionField._get(p=p, var=var)
 
 
 def QuadraticField(d: int) -> Field:
-    return Field("Qsqrt", d=d)
+    if not isinstance(d, int) or d in (0, 1) or not _is_squarefree(d):
+        raise FieldError(f"d={d} must be square-free and not a square")
+    return QuadraticExtension._get(d=d)
 
 
 class FieldElement:
@@ -375,28 +577,12 @@ class FieldElement:
 
     def __init__(self, field: Field, value):
         self.field = field
-        if field.kind == "Fpt":
-            value = self._canonical_fpt(field, value)
         self._v = value
-
-    @staticmethod
-    def _canonical_fpt(field, value):
-        num, den = _pnorm(value[0], field.p), _pnorm(value[1], field.p)
-        if not den:
-            raise DivisionByZero("zero denominator")
-        if not num:
-            return ((), (field._one_coeff(),))
-        g = _pgcd(num, den, field.p)
-        if len(g) > 1:
-            num = _pdivmod(num, g, field.p)[0]
-            den = _pdivmod(den, g, field.p)[0]
-        lead = _cinv(den[-1], field.p)
-        return (_pscale(num, lead, field.p), _pscale(den, lead, field.p))
 
     # -- helpers ---------------------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise DescriptorMismatch("mixed field descriptors")
             return other
         if isinstance(other, int):
@@ -406,17 +592,15 @@ class FieldElement:
         return NotImplemented
 
     def is_zero(self) -> bool:
-        k = self.field.kind
-        if k == "Q":
-            return self._v == 0
-        if k == "Fp":
-            return self._v == 0
-        if k == "Fpt":
-            return not self._v[0]
-        return self._v == (0, 0)
+        return self.field._is_zero(self._v)
 
     def is_one(self) -> bool:
         return self == self.field.one()
+
+    def prime_value(self):
+        """The value in Q (a Fraction) or F_p (an int) when the element lies in
+        the prime field, else None."""
+        return self.field._prime(self._v)
 
     # -- arithmetic --------------------------------------------------------------
     def __add__(self, other):
@@ -424,35 +608,20 @@ class FieldElement:
         if other is NotImplemented:
             return NotImplemented
         f = self.field
-        k = f.kind
-        if k in ("Q", "Fp"):
-            v = self._v + other._v
-            return FieldElement(f, v % f.p if k == "Fp" else v)
-        if k == "Fpt":
-            (an, ad), (bn, bd) = self._v, other._v
-            num = _padd(_pmul(an, bd, f.p), _pmul(bn, ad, f.p), f.p)
-            return FieldElement(f, (num, _pmul(ad, bd, f.p)))
-        (a, b), (c, e) = self._v, other._v
-        return FieldElement(f, (a + c, b + e))
+        return FieldElement(f, f._add(self._v, other._v))
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.field
-        k = f.kind
-        if k == "Q":
-            return FieldElement(f, -self._v)
-        if k == "Fp":
-            return FieldElement(f, (-self._v) % f.p)
-        if k == "Fpt":
-            return FieldElement(f, (_pneg(self._v[0], f.p), self._v[1]))
-        return FieldElement(f, (-self._v[0], -self._v[1]))
+        return FieldElement(f, f._neg(self._v))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        f = self.field
+        return FieldElement(f, f._add(self._v, f._neg(other._v)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -462,15 +631,7 @@ class FieldElement:
         if other is NotImplemented:
             return NotImplemented
         f = self.field
-        k = f.kind
-        if k in ("Q", "Fp"):
-            v = self._v * other._v
-            return FieldElement(f, v % f.p if k == "Fp" else v)
-        if k == "Fpt":
-            (an, ad), (bn, bd) = self._v, other._v
-            return FieldElement(f, (_pmul(an, bn, f.p), _pmul(ad, bd, f.p)))
-        (a, b), (c, e) = self._v, other._v
-        return FieldElement(f, (a * c + b * e * f.d, a * e + b * c))
+        return FieldElement(f, f._mul(self._v, other._v))
 
     __rmul__ = __mul__
 
@@ -478,16 +639,7 @@ class FieldElement:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         f = self.field
-        k = f.kind
-        if k == "Q":
-            return FieldElement(f, 1 / self._v)
-        if k == "Fp":
-            return FieldElement(f, pow(self._v, -1, f.p))
-        if k == "Fpt":
-            return FieldElement(f, (self._v[1], self._v[0]))
-        a, b = self._v
-        norm = a * a - b * b * f.d
-        return FieldElement(f, (a / norm, -b / norm))
+        return FieldElement(f, f._inv(self._v))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -517,7 +669,7 @@ class FieldElement:
                 return NotImplemented
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self._v == other._v
+        return self.field is other.field and self._v == other._v
 
     def __hash__(self):
         return hash((self.field, self._v))
@@ -526,76 +678,20 @@ class FieldElement:
         return not self.is_zero()
 
     # -- squares -------------------------------------------------------------------
-    def _as_prime_subfield(self):
-        """Value in Q (char 0) or F_p (char p), or None if not in it."""
-        f = self.field
-        if f.kind == "Q":
-            return self._v
-        if f.kind == "Fp":
-            return self._v
-        if f.kind == "Qsqrt":
-            return self._v[0] if self._v[1] == 0 else None
-        num, den = self._v
-        if len(num) <= 1 and den == (f._one_coeff(),):
-            return num[0] if num else (Fraction(0) if f.p == 0 else 0)
-        return None
-
     def sqrt(self):
         """An exact square root, or None if provably not a square.
 
         Raises Unsupported outside the decidable cases (non-constant function
         field elements; quadratic-extension elements with a sqrt(d) part).
         """
-        f = self.field
-        if f.kind == "Q":
-            r = _sqrt_fraction(self._v)
-            return None if r is None else FieldElement(f, r)
-        if f.kind == "Fp":
-            r = _sqrt_mod_p(self._v, f.p)
-            return None if r is None else FieldElement(f, r)
-        if f.kind == "Qsqrt":
-            q = self._as_prime_subfield()
-            if q is None:
-                raise Unsupported("is_square is only decided on the prime subfield")
-            r = _sqrt_fraction(q)
-            if r is not None:
-                return f.from_fraction(r)
-            r = _sqrt_fraction(q / f.d)
-            if r is not None:
-                return f.from_fraction(r) * f.generator()
-            return None
-        c = self._as_prime_subfield()
-        if c is None:
-            raise Unsupported("is_square is only decided on the prime subfield")
-        if f.p == 0:
-            r = _sqrt_fraction(c)
-            return None if r is None else f.from_fraction(r)
-        r = _sqrt_mod_p(c, f.p)
-        return None if r is None else f.from_int(r)
+        return self.field._sqrt(self._v)
 
     def is_square(self) -> bool:
         return self.sqrt() is not None
 
     # -- printing --------------------------------------------------------------------
     def __str__(self):
-        f = self.field
-        if f.kind == "Q":
-            return str(self._v)
-        if f.kind == "Fp":
-            return str(self._v)
-        if f.kind == "Fpt":
-            num, den = self._v
-            ns = _pstr(num, f.var)
-            if den == (f._one_coeff(),):
-                return ns
-            return f"({ns})/({_pstr(den, f.var)})"
-        a, b = self._v
-        if b == 0:
-            return str(a)
-        bs = f"sqrt({f.d})" if b == 1 else f"{b}*sqrt({f.d})"
-        if a == 0:
-            return bs
-        return f"{a}+{bs}".replace("+-", "-")
+        return self.field._str(self._v)
 
     def __repr__(self):
         return f"<{self} in {self.field!r}>"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import _expr
-from .fields import Field, FieldElement, FunctionField
+from .fields import Field, FieldElement, FunctionField, poly_divmod
 
 
 class NonTerminatingRewrite(Exception):
@@ -93,12 +93,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(not any(e) for e in self.terms)
-
-    def constant_value(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero())
-
     def __add__(self, other):
         other = self.ring.parse(other) if not isinstance(other, Polynomial) else other
         out = dict(self.terms)
@@ -142,9 +136,6 @@ class Polynomial:
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
 
-    def degree_in(self, i):
-        return max((e[i] for e in self.terms), default=-1)
-
     def derivative(self, i):
         out = {}
         for e, c in self.terms.items():
@@ -153,19 +144,6 @@ class Polynomial:
                 ne[i] -= 1
                 out[tuple(ne)] = c * e[i]
         return Polynomial(self.ring, out)
-
-    def univariate_in(self, i):
-        """Coefficient list (low to high) when the polynomial only involves
-        variable i; None otherwise."""
-        deg = 0
-        for e in self.terms:
-            if any(e[j] for j in range(self.ring.nvars) if j != i):
-                return None
-            deg = max(deg, e[i])
-        coeffs = [self.ring.field.zero()] * (deg + 1)
-        for e, c in self.terms.items():
-            coeffs[e[i]] = c
-        return coeffs
 
     def __str__(self):
         if not self.terms:
@@ -193,43 +171,6 @@ class Polynomial:
 def _needs_parens(c):
     s = str(c)
     return "+" in s[1:] or "-" in s[1:] or "/" in s
-
-
-def _univariate_divmod(num, den, field):
-    num = list(num)
-    q = [field.zero()] * max(0, len(num) - len(den) + 1)
-    while num and num[-1].is_zero():
-        num.pop()
-    dd = list(den)
-    while dd and dd[-1].is_zero():
-        dd.pop()
-    if not dd:
-        raise ZeroDivisionError
-    inv = dd[-1].inverse()
-    while len(num) >= len(dd):
-        c = num[-1] * inv
-        d = len(num) - len(dd)
-        q[d] = c
-        for i, x in enumerate(dd):
-            num[i + d] = num[i + d] - c * x
-        while num and num[-1].is_zero():
-            num.pop()
-    return q, num
-
-
-def _univariate_gcd(a, b, field):
-    a, b = list(a), list(b)
-
-    def trim(c):
-        while c and c[-1].is_zero():
-            c.pop()
-        return c
-
-    a, b = trim(a), trim(b)
-    while b:
-        _, r = _univariate_divmod(a, b, field)
-        a, b = b, trim(list(r))
-    return a
 
 
 def polynomial_matrix_rank(rows):
@@ -381,9 +322,6 @@ class SuperAlgebraPresentation:
     # -- elements ---------------------------------------------------------------
     def element(self, terms) -> "SuperElement":
         return SuperElement(self, {k: self.field.parse(c) for k, c in terms.items()})
-
-    def zero_elem(self):
-        return self.element({})
 
     def one_elem(self):
         return self.element({((0,) * self.ring.nvars, SYM_ONE): 1})
@@ -655,23 +593,22 @@ def _tail_is_constant(pres, rel):
 
 
 def _univariate_separability(pres):
-    """For each relation u^d = c: gcd(u^d - c, d*u^{d-1}) constant?"""
+    """For each relation u^d = c: is gcd(u^d - c, d*u^{d-1}) constant? The
+    derivative vanishes iff d = 0 in K; otherwise the only candidate common
+    root is u = 0, a root of u^d - c iff c = 0."""
     field = pres.field
     results = []
     for rel in pres.relations:
-        coeffs = [field.zero()] * (rel.degree + 1)
-        coeffs[rel.degree] = field.one()
         c = field.zero()
         for (exps, sym), v in rel.tail.terms.items():
             if sym == SYM_ONE:
                 c = v
-        coeffs[0] = -c
-        deriv = [coeffs[i + 1] * (i + 1) for i in range(rel.degree)]
-        if all(x.is_zero() for x in deriv):
+        if field.from_int(rel.degree).is_zero():
             results.append((rel, False, "derivative vanishes"))
-            continue
-        g = _univariate_gcd(coeffs, deriv, field)
-        results.append((rel, len(g) <= 1, "separable" if len(g) <= 1 else "repeated roots"))
+        elif rel.degree >= 2 and c.is_zero():
+            results.append((rel, False, "repeated roots"))
+        else:
+            results.append((rel, True, "separable"))
     return results
 
 
@@ -877,8 +814,8 @@ def hochschild_split_report(pres, xvar, alpha: SuperElement):
     modulus = [field.zero()] * (p + 1)
     modulus[0] = field.generator()
     modulus[p] = field.one()
-    q, r = _univariate_divmod(a0_coeffs, modulus, field)
-    split = all(c.is_zero() for c in r)
+    q, r = poly_divmod(a0_coeffs, modulus, 0)
+    split = not r
     report = {
         "split": split,
         "sign_convention": "x^2 = y^p + t + alpha*nu (x^2 - y^p - t = 0 on the base ring)",
@@ -892,7 +829,7 @@ def hochschild_split_report(pres, xvar, alpha: SuperElement):
                 e[yvar] = i
                 beta_terms[(tuple(e), SYM_ONE)] = c
         for i, c in enumerate(q):
-            if not c.is_zero():
+            if c:  # poly_divmod leaves an int 0 at each degree it skips
                 e = [0, 0]
                 e[yvar] = i
                 e[xvar] = 1

@@ -249,12 +249,6 @@ def solve(rows, rhs, field: Field):
     return x
 
 
-def solve_all(rows, rhs, field: Field):
-    """(particular solution, kernel basis) for rows * x = rhs."""
-    particular = solve(rows, rhs, field)
-    return particular, kernel_basis(rows, field)
-
-
 def echelon_extend(vectors, dim, field: Field):
     """Indices of standard basis vectors completing `vectors` to a basis."""
     rows = [v[:] for v in vectors]

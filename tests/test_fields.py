@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from superhopf.fields import (
     QQ,
     QuadraticField,
     Unsupported,
+    poly_divmod,
 )
 
 from oracles import mod_p_squares, rational_is_square
@@ -31,6 +33,14 @@ def test_characteristic_two_rejected():
         QuadraticField(4)
     with pytest.raises(FieldError):
         QuadraticField(12)
+
+
+def test_non_integer_parameters_rejected():
+    # interning keys on the value, and 5.0 == 5 would alias GF(5)
+    for data in ({"kind": "Fp", "p": 5.0}, {"kind": "Fpt", "p": 0.0, "var": "t"},
+                 {"kind": "Fpt", "p": "5", "var": "t"}, {"kind": "Qsqrt", "d": 2.0}):
+        with pytest.raises(FieldError):
+            Field.from_json(data)
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
@@ -230,6 +240,16 @@ def test_equal_elements_hash_equal(field):
         assert (a + b) - b == a and hash((a + b) - b) == hash(a)
 
 
+def test_fields_are_interned():
+    for field in ALL_FIELDS:
+        assert Field.from_json(field.to_json()) is field
+        assert hash(Field.from_json(field.to_json())) == hash(field)
+        assert copy.deepcopy(field) is field and copy.deepcopy(field.one()) == field.one()
+    assert QQ() is QQ() and GF(5) is GF(5)
+    assert FunctionField(5, "t") is not FunctionField(5, "s")
+    assert FunctionField(5, "t") != FunctionField(0, "t")
+
+
 def test_descriptor_mismatch_between_fields_of_one_kind():
     pairs = [(GF(5), GF(7)), (FunctionField(5, "t"), FunctionField(5, "s")),
              (FunctionField(5, "t"), FunctionField(0, "t")), (QuadraticField(-1), QuadraticField(2))]
@@ -238,3 +258,23 @@ def test_descriptor_mismatch_between_fields_of_one_kind():
             f.one() + g.one()
         with pytest.raises(DescriptorMismatch):
             f.one() * g.one()
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+def test_poly_divmod_over_field_elements(field):
+    """q*b + r == a and deg r < deg b, with FieldElement coefficients (p = 0)."""
+    rng = random.Random(8)
+    for _ in range(40):
+        a = [field.random(rng) for _ in range(rng.randint(0, 6))]
+        b = [field.random(rng) for _ in range(rng.randint(0, 3))] + [field.random(rng) + 1]
+        while b[-1].is_zero():
+            b[-1] = field.random(rng)
+        q, r = poly_divmod(a, b, 0)
+        assert len(r) < len(b) and (not r or not r[-1].is_zero())
+        prod = [field.zero()] * (len(a) + len(b))
+        for i, x in enumerate(q):
+            for j, y in enumerate(b):
+                prod[i + j] = prod[i + j] + x * y
+        for i, x in enumerate(r):
+            prod[i] = prod[i] + x
+        assert prod == list(a) + [field.zero()] * (len(prod) - len(a))

@@ -92,11 +92,6 @@ def test_separable_torsion_relation():
     assert not is_smooth(pres_bad).smooth
 
 
-def _separability_case(field, d, c):
-    pres = SuperAlgebraPresentation(field, ("u",), [f"u^{d} - ({c})"], ("z",))
-    return is_regular(pres), is_smooth(pres)
-
-
 @pytest.mark.parametrize("p", [0, 3, 5, 7])
 def test_separability_matches_euclid_oracle(p):
     field = QQ() if p == 0 else GF(p)
@@ -108,7 +103,8 @@ def test_separability_matches_euclid_oracle(p):
             sep = is_separable(coeffs, p)
             why = "derivative vanishes" if p and d % p == 0 else \
                 "separable" if sep else "repeated roots"
-            reg, smooth = _separability_case(field, d, c)
+            pres = SuperAlgebraPresentation(field, ("u",), [f"u^{d} - ({c})"], ("z",))
+            reg, smooth = is_regular(pres), is_smooth(pres)
             assert reg.regular is sep, (p, d, c)
             assert smooth.smooth is sep and smooth.base_smooth is sep, (p, d, c)
             assert smooth.certificate["even_quotient"] == [f"u: {why}"], (p, d, c)
