@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import dgxrep, hcp, hopfcore, smoothcheck
-from .chargroup import GroupDescriptor, GroupMismatch, LieFunctional
+from .chargroup import GroupDescriptor, LieFunctional
 from .fields import Field, FieldError
 from .hcp import GXData, HarishChandraPair, SubPair
 
@@ -485,23 +485,7 @@ def main(argv=None):
     except ParseError as exc:
         print(json.dumps({"schema_version": SCHEMA_VERSION, "error": str(exc)}, indent=2))
         return 2
-    except (
-        FieldError,
-        GroupMismatch,
-        hopfcore.InvalidGX,
-        hopfcore.WindowRequired,
-        hcp.InvalidSubPair,
-        hcp.NotNormal,
-        hcp.BaseNotDiagonalizable,
-        hcp.UnsupportedBase,
-        dgxrep.InvalidLabel,
-        dgxrep.DecompositionError,
-        smoothcheck.NonTerminatingRewrite,
-        smoothcheck.UndecidableBase,
-        smoothcheck.DegreeBoundExceeded,
-        smoothcheck.InvalidAlpha,
-        smoothcheck.InvalidPresentation,
-    ) as exc:
+    except Exception as exc:
         print(
             json.dumps(
                 {

@@ -290,35 +290,12 @@ def socle_vectors(m: Supercomodule):
     """Parity-homogeneous basis of the socle: vectors whose coaction has no
     hz-component with <x,h> = 0 (those monomials fall outside the coradical)."""
     alg = m.algebra
-    field = m.field
-    conditions = []
+    system = {}
     for i in range(m.dim):
         for j, c, chars, eps in m.coaction[i]:
             if eps == 1 and alg.pair_char(chars).is_zero():
-                conditions.append((i, j, chars))
-    cond_index = {}
-    for i, j, chars in conditions:
-        cond_index.setdefault((j, chars), len(cond_index))
-    vectors = []
-    for parity in (EVEN, ODD):
-        idx = [i for i in range(m.dim) if m.parities[i] == parity]
-        if not idx:
-            continue
-        rows = [[field.zero()] * len(idx) for _ in range(len(cond_index))]
-        for pos, i in enumerate(idx):
-            for j, c, chars, eps in m.coaction[i]:
-                if eps == 1 and alg.pair_char(chars).is_zero():
-                    rows[cond_index[(j, chars)]][pos] = rows[cond_index[(j, chars)]][pos] + c
-        kern = superlin.kernel_basis(rows, field) if rows else [
-            [field.one() if a == b else field.zero() for a in range(len(idx))]
-            for b in range(len(idx))
-        ]
-        for vec in kern:
-            full = [field.zero()] * m.dim
-            for pos, i in enumerate(idx):
-                full[i] = vec[pos]
-            vectors.append((parity, full))
-    return vectors
+                superlin.add_entry(system, (j, chars), i, c)
+    return superlin.kernel_by_parity(system, m.parities, m.field)
 
 
 def restrict(m: Supercomodule, vectors):
@@ -348,75 +325,49 @@ def restrict(m: Supercomodule, vectors):
 
 
 def _comodule_hom_conditions(src: Supercomodule, dst: Supercomodule):
-    """Rows of the linear system cutting out even comodule maps dst <- src?
-    No: maps f: src -> dst. Unknowns are the dim(dst) x dim(src) entries of f,
-    flattened row-major; the conditions express rho_dst(f(m)) =
-    (f (x) id)(rho_src(m)) together with parity preservation."""
-    field = src.field
+    """(system, columns) cutting out the even comodule maps f: src -> dst.
+
+    Unknown t * src.dim + j is the entry f[t][j]. Row (i, t, chars, eps)
+    equates the coefficients of m_t (x) h z^eps in (f (x) id)(rho_src(m_i))
+    and in rho_dst(f(m_i)). The columns are the entries with
+    dst.parities[t] == src.parities[j]; the others are zero in an even map."""
     nd, ns = dst.dim, src.dim
-    nvar = nd * ns
-    rows = []
-    keys = {}
-
-    def row_for(key):
-        if key not in keys:
-            keys[key] = [field.zero()] * nvar
-            rows.append(keys[key])
-        return keys[key]
-
+    system = {}
     for i in range(ns):
-        # (f (x) id) rho_src(m_i): + f[t][j] for each (j, chars, eps)
         for j, c, chars, eps in src.coaction[i]:
             for t in range(nd):
-                row = row_for((i, t, chars, eps))
-                row[t * ns + j] = row[t * ns + j] + c
-        # rho_dst(f(m_i)): - sum over f[u][i] rho_dst(m_u)
+                superlin.add_entry(system, (i, t, chars, eps), t * ns + j, c)
         for u in range(nd):
             for t, c, chars, eps in dst.coaction[u]:
-                row = row_for((i, t, chars, eps))
-                row[u * ns + i] = row[u * ns + i] - c
-    # parity: f[t][j] = 0 unless parity matches (even map)
-    for t in range(nd):
-        for j in range(ns):
-            if (dst.parities[t] - src.parities[j]) % 2:
-                row = [field.zero()] * nvar
-                row[t * ns + j] = field.one()
-                rows.append(row)
-    return rows
+                superlin.add_entry(system, (i, t, chars, eps), u * ns + i, -c)
+    even = [t * ns + j for t in range(nd) for j in range(ns)
+            if dst.parities[t] == src.parities[j]]
+    return system, even
 
 
 def comodule_homs(src: Supercomodule, dst: Supercomodule):
     """Basis of the space of even comodule morphisms src -> dst, as matrices."""
-    field = src.field
-    rows = _comodule_hom_conditions(src, dst)
     ns, nd = src.dim, dst.dim
-    if not rows:
-        rows = [[field.zero()] * (nd * ns)]
-    basis = superlin.kernel_basis(rows, field)
-    mats = []
-    for vec in basis:
-        mats.append([[vec[t * ns + j] for j in range(ns)] for t in range(nd)])
-    return mats
+    system, even = _comodule_hom_conditions(src, dst)
+    return [[[vec[t * ns + j] for j in range(ns)] for t in range(nd)]
+            for vec in superlin.kernel_on(system, even, nd * ns, src.field)]
 
 
 def _retraction(m: Supercomodule, block: Supercomodule, embedding):
     """Comodule map pi: m -> block with pi restricted to the embedded block
     equal to the identity; embedding maps block basis -> ambient vectors."""
     field = m.field
-    # pi(embedding(e_b)) = e_b: sum_j pi[t][j] emb[b][j] = delta_{tb}
     ns, nd = m.dim, block.dim
-    rows = _comodule_hom_conditions(m, block)
-    rhs = [field.zero()] * len(rows)
+    system, even = _comodule_hom_conditions(m, block)
+    # pi(embedding(e_b)) = e_b: sum_j pi[t][j] emb[b][j] = delta_{tb}
+    rhs = {}
     for b in range(nd):
         for t in range(nd):
-            row = [field.zero()] * (nd * ns)
             for j in range(ns):
-                row[t * ns + j] = embedding[b][j]
-            rows.append(row)
-            rhs.append(field.one() if t == b else field.zero())
-    try:
-        sol = superlin.solve(rows, rhs, field)
-    except superlin.InconsistentSystem:
+                superlin.add_entry(system, ("section", b, t), t * ns + j, embedding[b][j])
+        rhs[("section", b, b)] = field.one()
+    sol = superlin.solve_on(system, rhs, even, nd * ns, field)
+    if sol is None:
         return None
     return [[sol[t * ns + j] for j in range(ns)] for t in range(nd)]
 
@@ -446,33 +397,15 @@ def _find_line_candidates(m: Supercomodule):
     for h in m.characters_used():
         if not alg.pair_char(h.exps).is_zero():
             continue
+        system = {}
+        for i in range(m.dim):
+            for j, c, chars, eps in m.coaction[i]:
+                superlin.add_entry(system, (j, chars, eps), i, c)
+            # subtract v (x) h
+            superlin.add_entry(system, (i, h.exps, 0), i, -field.one())
         for parity in (EVEN, ODD):
             idx = [i for i in range(m.dim) if m.parities[i] == parity]
-            if not idx:
-                continue
-            keys = {}
-            rows = []
-
-            def row_for(key):
-                if key not in keys:
-                    keys[key] = [field.zero()] * len(idx)
-                    rows.append(keys[key])
-                return keys[key]
-
-            for pos, i in enumerate(idx):
-                for j, c, chars, eps in m.coaction[i]:
-                    row = row_for((j, chars, eps))
-                    row[pos] = row[pos] + c
-                # subtract v (x) h
-                row = row_for((i, h.exps, 0))
-                row[pos] = row[pos] - field.one()
-            kern = superlin.kernel_basis(rows, field) if rows else []
-            vectors = []
-            for vec in kern:
-                full = [field.zero()] * m.dim
-                for pos, i in enumerate(idx):
-                    full[i] = vec[pos]
-                vectors.append(full)
+            vectors = superlin.kernel_on(system, idx, m.dim, field)
             if vectors:
                 out.append((h, parity, vectors))
     return out
@@ -530,18 +463,8 @@ def decompose(m: Supercomodule) -> DecompositionResult:
             )
         )
         # complement = kernel of retraction, taken parity-homogeneously
-        kern_rows = retraction
-        complement = []
-        for parity in (EVEN, ODD):
-            idx = [i for i in range(current.dim) if current.parities[i] == parity]
-            if not idx:
-                continue
-            sub_rows = [[kern_rows[t][i] for i in idx] for t in range(block.dim)]
-            for vec in superlin.kernel_basis(sub_rows, field):
-                full = [field.zero()] * current.dim
-                for pos, i in enumerate(idx):
-                    full[i] = vec[pos]
-                complement.append((parity, full))
+        system = {t: dict(enumerate(row)) for t, row in enumerate(retraction)}
+        complement = superlin.kernel_by_parity(system, current.parities, field)
         new_current, basis = restrict(current, complement)
         ambient = [
             [sum((basis[a][i] * ambient[i][t] for i in range(current.dim)),
@@ -608,36 +531,15 @@ def _peel_one(current: Supercomodule):
 
 def _extend_line(m: Supercomodule, h, vec):
     """Solve rho(w) = vec (x) hz + w (x) gh for w; None when non-extendable."""
-    alg = m.algebra
     field = m.field
-    gh = (h * alg.g).exps
-    keys = {}
-    rows = []
-    rhs = []
-
-    def row_for(key):
-        if key not in keys:
-            keys[key] = ([field.zero()] * m.dim, len(rows))
-            rows.append(keys[key][0])
-            rhs.append(field.zero())
-        return keys[key]
-
+    gh = (h * m.algebra.g).exps
+    system = {}
     for j in range(m.dim):
         for t, c, chars, eps in m.coaction[j]:
-            row, pos = row_for((t, chars, eps))
-            row[j] = row[j] + c
-    for j in range(m.dim):
-        row, pos = row_for((j, gh, 0))
-        row[j] = row[j] - field.one()
-    for i in range(m.dim):
-        if not vec[i].is_zero():
-            row, pos = row_for((i, h.exps, 1))
-            rhs[pos] = rhs[pos] + vec[i]
-    try:
-        sol = superlin.solve(rows, rhs, field)
-    except superlin.InconsistentSystem:
-        return None
-    return sol
+            superlin.add_entry(system, (t, chars, eps), j, c)
+        superlin.add_entry(system, (j, gh, 0), j, -field.one())
+    rhs = {(i, h.exps, 1): vec[i] for i in range(m.dim) if not vec[i].is_zero()}
+    return superlin.solve_on(system, rhs, range(m.dim), m.dim, field)
 
 
 def _verify_decomposition(m, labels, blocks, iso):

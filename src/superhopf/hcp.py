@@ -396,23 +396,18 @@ def _functional_coordinates(pair, x):
 def _block_radical(pair: HarishChandraPair, wexps):
     """Kernel vectors of V(w) against the D-part of the bracket with V(w^-1).
 
-    Returns coefficient vectors over the indices of the weight-w block that
-    annihilate every opposite-block vector.
+    Returns vectors of V, supported on the weight-w block, that annihilate
+    every opposite-block vector.
     """
     blocks = pair.weight_blocks()
     idx = blocks[wexps]
     inv = pair.base.character(wexps).inverse().exps
-    jdx = blocks.get(inv, [])
-    rows = []
-    for j in jdx:
-        coords_per_i = [_functional_coordinates(pair, pair.bracket[j][i]) for i in idx]
-        width = len(coords_per_i[0]) if coords_per_i else 0
-        for c in range(width):
-            rows.append([coords_per_i[t][c] for t in range(len(idx))])
-    if not rows:
-        one, zero = pair.field.one(), pair.field.zero()
-        return [[one if a == b else zero for a in range(len(idx))] for b in range(len(idx))]
-    return superlin.kernel_basis(rows, pair.field)
+    system = {}
+    for j in blocks.get(inv, []):
+        for i in idx:
+            for c, coeff in enumerate(_functional_coordinates(pair, pair.bracket[j][i])):
+                superlin.add_entry(system, (j, c), i, coeff)
+    return superlin.kernel_on(system, idx, pair.dim_v, pair.field)
 
 
 def super_diagonalizable(pair: HarishChandraPair):
@@ -441,16 +436,7 @@ def super_diagonalizable(pair: HarishChandraPair):
 
 def bracket_radical(pair: HarishChandraPair):
     """Weight-homogeneous basis of {w : [V, w] pairs to zero in Lie(D)}."""
-    blocks = pair.weight_blocks()
-    radical = []
-    for wexps in sorted(blocks):
-        idx = blocks[wexps]
-        for vec in _block_radical(pair, wexps):
-            full = pair.zero_vector()
-            for pos, i in enumerate(idx):
-                full[i] = vec[pos]
-            radical.append(full)
-    return radical
+    return [vec for wexps in sorted(pair.weight_blocks()) for vec in _block_radical(pair, wexps)]
 
 
 def unipotent_radical_trivial(pair: HarishChandraPair) -> bool:

@@ -628,22 +628,13 @@ def _resolve_window(alg, window):
 
 def _solve_tensor_condition(alg, basis_monos, condition):
     """Kernel of c -> condition(c) where condition maps monomials to 2-tensors."""
-    images = [condition(m) for m in basis_monos]
-    keys = sorted({key for img in images for key in img.terms})
-    key_index = {key: i for i, key in enumerate(keys)}
-    zero = alg.field.zero()
-    rows = [[zero] * len(basis_monos) for _ in keys]
-    for j, img in enumerate(images):
-        for key, c in img.terms.items():
-            rows[key_index[key]][j] = c
-    vectors = superlin.kernel_basis(rows, alg.field) if rows else [
-        [alg.field.one() if i == j else zero for i in range(len(basis_monos))]
-        for j in range(len(basis_monos))
-    ]
-    out = []
-    for vec in vectors:
-        out.append(HopfElement(alg, {m: c for m, c in zip(basis_monos, vec)}))
-    return out
+    system = {}
+    for j, m in enumerate(basis_monos):
+        for key, c in condition(m).terms.items():
+            superlin.add_entry(system, key, j, c)
+    n = len(basis_monos)
+    return [HopfElement(alg, dict(zip(basis_monos, vec)))
+            for vec in superlin.kernel_on(system, range(n), n, alg.field)]
 
 
 def _window_monomials(alg, window, degree_bound):

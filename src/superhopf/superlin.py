@@ -1,8 +1,15 @@
 """Exact linear algebra over the supported fields, with parity bookkeeping.
 
-Matrices are kept sparse as {(row, col): coefficient} and converted to dense
-rows for elimination; pivoting takes the first nonzero entry. All results are
-exact. Koszul-sign helpers for tensor manipulations live here as well.
+Linear systems are kept sparse as {row key: {column: coefficient}}: a row key
+names one linear condition (any hashable), a column indexes one unknown.
+Callers build a system with `add_entry` and hand it to `kernel_on`,
+`kernel_by_parity` or `solve_on`, which restrict the unknowns to a set of
+columns, eliminate, and return vectors at full length. Row order, repeated
+keys and zero rows do not matter: the reduced row echelon form depends only on
+the row space. The dense routines (`row_reduce`, `kernel_basis`, `solve`, ...)
+do the elimination on lists of rows; pivoting takes the first nonzero entry.
+All results are exact. Koszul-sign helpers for tensor manipulations live here
+as well.
 """
 
 from __future__ import annotations
@@ -120,26 +127,17 @@ class SuperLinearMap:
 
     def kernel(self):
         """Kernel basis; parity-homogeneous when the map is."""
-        rows = self.dense_rows()
-        vectors = kernel_basis(rows, self.field)
-        if self.parity is not None:
-            split = []
-            for par in (EVEN, ODD):
-                idx = [j for j in range(self.domain.dim) if self.domain.parities[j] == par]
-                if not idx:
-                    continue
-                sub = [[row[j] for j in idx] for row in rows]
-                for vec in kernel_basis(sub, self.field):
-                    full = [self.field.zero()] * self.domain.dim
-                    for pos, j in enumerate(idx):
-                        full[j] = vec[pos]
-                    split.append((par, full))
-            vectors = [v for _, v in split]
-            parities = tuple(p for p, _ in split)
+        system = {}
+        for (i, j), v in self.entries.items():
+            add_entry(system, i, j, v)
+        n = self.domain.dim
+        if self.parity is None:
+            split = [(EVEN, vec) for vec in kernel_on(system, range(n), n, self.field)]
         else:
-            parities = tuple(EVEN for _ in vectors)
-        space = SuperVectorSpace(tuple(f"k{i}" for i in range(len(vectors))), parities)
-        return space, vectors
+            split = kernel_by_parity(system, self.domain.parities, self.field)
+        space = SuperVectorSpace(tuple(f"k{i}" for i in range(len(split))),
+                                 tuple(p for p, _ in split))
+        return space, [vec for _, vec in split]
 
     def image(self):
         rows = self.dense_rows()
@@ -266,3 +264,63 @@ def in_span(vectors, vec, field: Field):
         return solve(rows, vec, field)
     except InconsistentSystem:
         return None
+
+
+# ---------------------------------------------------------------------------
+# sparse systems {row key: {column: coefficient}}
+
+
+def add_entry(system, key, col, coeff):
+    """Add coeff to the entry of row `key` in column `col`."""
+    row = system.setdefault(key, {})
+    cur = row.get(col)
+    row[col] = coeff if cur is None else cur + coeff
+
+
+def _dense(system, keys, cols, field):
+    """Dense rows of `keys` over `cols`; a single zero row when there are no
+    keys, so that the dense routines still see len(cols) unknowns."""
+    zero = field.zero()
+    return [[system.get(k, {}).get(c, zero) for c in cols] for k in keys] or [[zero] * len(cols)]
+
+
+def _embed(vec, cols, n, field):
+    full = [field.zero()] * n
+    for c, v in zip(cols, vec):
+        full[c] = v
+    return full
+
+
+def kernel_on(system, cols, n, field: Field):
+    """Kernel basis of the system with the unknowns outside `cols` fixed at
+    zero, as vectors of length n. `cols` must be ascending; the basis is the
+    one `kernel_basis` gives on those columns (an empty system has the unit
+    vectors of `cols`)."""
+    cols = list(cols)
+    if not cols:
+        return []
+    rows = _dense(system, list(system), cols, field)
+    return [_embed(vec, cols, n, field) for vec in kernel_basis(rows, field)]
+
+
+def kernel_by_parity(system, parities, field: Field):
+    """Parity-homogeneous kernel basis as (parity, vector) pairs, even first;
+    `parities` gives the parity of each unknown."""
+    n = len(parities)
+    return [(par, vec) for par in (EVEN, ODD)
+            for vec in kernel_on(system, [j for j in range(n) if parities[j] == par], n, field)]
+
+
+def solve_on(system, rhs, cols, n, field: Field):
+    """One solution, of length n, of the system with right-hand side `rhs`
+    ({row key: value}, missing keys are zero) and the unknowns outside `cols`
+    fixed at zero; None when there is none. The free unknowns are zero."""
+    cols = list(cols)
+    zero = field.zero()
+    keys = list(system) + [k for k in rhs if k not in system]
+    rows = _dense(system, keys, cols, field)
+    try:
+        sol = solve(rows, [rhs.get(k, zero) for k in keys] or [zero], field)
+    except InconsistentSystem:
+        return None
+    return _embed(sol, cols, n, field)

@@ -245,6 +245,20 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     not_object = write(tmp_path, "list.json", [1, 2])
     code, report = run(tmp_path, capsys, ["smooth", "--input", not_object])
     assert code == 2 and "JSON object" in report["error"]
+    bad_relation = write(tmp_path, "rel.json", {"field": {"kind": "Q"},
+                                                 "even_ring": {"vars": ["t"], "relations": ["t^^2"]},
+                                                 "odd": ["z"]})
+    code, report = run(tmp_path, capsys, ["smooth", "--input", bad_relation])
+    assert code == 2 and report["error"].startswith("ExprError")
+    payload = _comodule_payload()
+    payload["comodule"]["coaction"][0][1][0][0] = 99
+    bad_target = write(tmp_path, "target.json", payload)
+    code, report = run(tmp_path, capsys, ["decompose", "--input", bad_target])
+    assert code == 2 and report["error"].startswith("IndexError")
+    no_char = write(tmp_path, "nochar.json", {"algebra": MU4_GGX, "S": {"kind": "S"},
+                                              "T": {"kind": "S", "char": [1]}})
+    code, report = run(tmp_path, capsys, ["ext1", "--input", no_char])
+    assert code == 2 and report["error"].startswith("KeyError")
 
 
 def test_selftest_and_determinism(tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from superhopf import superlin
 from superhopf.chargroup import GroupDescriptor, LieFunctional
 from superhopf.dgxrep import (
     DecompositionError,
@@ -19,7 +20,7 @@ from superhopf.dgxrep import (
     standard_object,
     tensor_comodule,
 )
-from superhopf.fields import GF, QQ
+from superhopf.fields import GF, QQ, QuadraticField
 from superhopf.hopfcore import build_algebra
 
 from oracles import comodule_label_multiset_bruteforce, ext1_bruteforce
@@ -38,16 +39,15 @@ def algebra_mu5():
     return build_algebra(F5, mu5, mu5.identity(), LieFunctional(mu5, F5, torsion=[1]))
 
 
-def scramble(m, rng):
+def scramble(m, rng, entry=None):
     field = m.field
-    p = field.p
     n = m.dim
     for _ in range(300):
         mat = [[field.zero()] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 if m.parities[i] == m.parities[j]:
-                    mat[i][j] = field.from_int(rng.randrange(p))
+                    mat[i][j] = entry(rng) if entry else field.from_int(rng.randrange(field.p))
         try:
             return m.change_basis(mat)
         except DecompositionError:
@@ -144,6 +144,59 @@ def test_decompose_scrambled_and_oracle_agreement():
         assert res.label_multiset() == expect
         assert res.label_multiset() == comodule_label_multiset_bruteforce(ms, 5)
         done += 1
+
+
+def _is_morphism(f, a, b):
+    """rho_b(f(m_i)) == (f (x) id)(rho_a(m_i)) for every basis vector m_i of a."""
+    field = a.field
+    for i in range(a.dim):
+        lhs = b.coact_vector([f[t][i] for t in range(b.dim)])
+        rhs = {}
+        for j, c, chars, eps in a.coaction[i]:
+            for t in range(b.dim):
+                key = (t, chars, eps)
+                rhs[key] = rhs.get(key, field.zero()) + c * f[t][j]
+        if lhs != {k: v for k, v in rhs.items() if not v.is_zero()}:
+            return False
+    return True
+
+
+def test_comodule_homs_are_even_morphisms_randomized():
+    rng = random.Random(41)
+    Qi = QuadraticField(-1)
+    i_unit = Qi.generator()
+    cases = [
+        (algebra_mu5(), None),
+        (algebra_mu4(g_exp=2), None),
+        (algebra_mu4(g_exp=2, field=Qi),
+         lambda r: Qi.from_int(r.randint(-2, 2)) + i_unit * r.randint(-2, 2)),
+    ]
+    total = 0
+    for alg, entry in cases:
+        n = alg.group.torsion[0]
+        pool = [IndecompLabel("L", (c,), s) for c in range(n) for s in (False, True)]
+        pool += [IndecompLabel("S", (c,), s) for c in range(n) for s in (False, True)
+                 if alg.pair_char((c,)).is_zero()]
+        for _ in range(8):
+            sums = []
+            for _ in range(2):
+                m = None
+                for lab in rng.sample(pool, rng.randint(1, 2)):
+                    so = standard_object(alg, lab)
+                    m = so if m is None else m.direct_sum(so)
+                sums.append(scramble(m, rng, entry))
+            a, b = sums
+            homs = comodule_homs(a, b)
+            for f in homs:
+                for t in range(b.dim):
+                    for j in range(a.dim):
+                        if b.parities[t] != a.parities[j]:
+                            assert f[t][j].is_zero()
+                assert _is_morphism(f, a, b)
+            flat = [[c for row in f for c in row] for f in homs]
+            assert superlin.rank(flat, alg.field) == len(homs)
+            total += len(homs)
+    assert total > 0
 
 
 def test_decompose_iso_is_verified_morphism():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from superhopf import superlin
-from superhopf.fields import GF, QQ
+from superhopf.fields import GF, QQ, FunctionField, QuadraticField
 from superhopf.superlin import (
     EVEN,
     ODD,
@@ -29,7 +29,7 @@ def _random_map(rng, field, dom, cod, parity=None):
 
 def test_rank_nullity_randomized():
     rng = random.Random(11)
-    for field in (QQ(), GF(5)):
+    for field in (QQ(), GF(5), FunctionField(5), QuadraticField(-1)):
         for _ in range(30):
             dom = SuperVectorSpace.make([f"e{i}" for i in range(rng.randint(1, 4))],
                                         [f"o{i}" for i in range(rng.randint(0, 3))])
@@ -54,6 +54,16 @@ def test_trivial_examples():
     two = SuperVectorSpace.make(["a", "b"], [])
     ones = SuperLinearMap(two, two, Q, {(i, j): Q.one() for i in range(2) for j in range(2)}, EVEN)
     assert ones.rank() == 1
+    dom = SuperVectorSpace.make(["a", "b"], ["c"])
+    for parity in (None, EVEN):
+        to_zero = SuperLinearMap(dom, SuperVectorSpace.make([], []), Q, {}, parity)
+        kspace, kern = to_zero.kernel()
+        assert kspace.dim == len(kern) == dom.dim
+        for par, vec in zip(kspace.parities, kern):
+            support = {dom.parities[i] for i, c in enumerate(vec) if not c.is_zero()}
+            assert len(support) == 1
+            if parity is not None:
+                assert support == {par}
 
 
 def test_solve_and_inconsistent():
@@ -63,6 +73,57 @@ def test_solve_and_inconsistent():
     assert sol[0] + sol[1] == Q.from_int(3)
     with pytest.raises(InconsistentSystem):
         superlin.solve(rows, [Q.from_int(3), Q.from_int(7)], Q)
+
+
+def _mat_vec(rows, x, field):
+    return [sum((a * b for a, b in zip(row, x)), start=field.zero()) for row in rows]
+
+
+def test_solve_round_trip_randomized():
+    """rows * solve(rows, rhs) == rhs, and no solution exactly when the
+    augmented matrix has the larger rank; the same for a sparse system
+    restricted to a set of columns through solve_on."""
+    rng = random.Random(23)
+    seen = set()
+    for field in (QQ(), GF(5), FunctionField(5), QuadraticField(-1)):
+        for _ in range(25):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[field.random(rng) if rng.random() < 0.6 else field.zero() for _ in range(n)]
+                    for _ in range(m)]
+            if rng.random() < 0.5:
+                rhs = _mat_vec(rows, [field.random(rng) for _ in range(n)], field)
+            else:
+                rhs = [field.random(rng) for _ in range(m)]
+            consistent = (superlin.rank([r + [b] for r, b in zip(rows, rhs)], field)
+                          == superlin.rank(rows, field))
+            try:
+                sol = superlin.solve(rows, rhs, field)
+            except InconsistentSystem:
+                assert not consistent
+            else:
+                assert consistent and _mat_vec(rows, sol, field) == rhs
+
+            cols = sorted(rng.sample(range(n), rng.randint(0, n)))
+            system = {}
+            for i, row in enumerate(rows):
+                for j, c in enumerate(row):
+                    superlin.add_entry(system, ("row", i), j, c)
+            target = {("row", i): b for i, b in enumerate(rhs) if rng.random() < 0.8}
+            restricted = [[row[j] for j in cols] for row in rows]
+            wanted = [target.get(("row", i), field.zero()) for i in range(m)]
+            consistent = (superlin.rank([r + [b] for r, b in zip(restricted, wanted)], field)
+                          == superlin.rank(restricted, field))
+            sol = superlin.solve_on(system, target, cols, n, field)
+            assert (sol is not None) == consistent
+            seen.add(consistent)
+            if sol is not None:
+                assert len(sol) == n
+                assert all(sol[j].is_zero() for j in range(n) if j not in cols)
+                assert _mat_vec(rows, sol, field) == wanted
+    assert seen == {True, False}
+    Q = QQ()
+    assert superlin.solve_on({}, {}, [0, 1], 3, Q) == [Q.zero()] * 3
+    assert superlin.solve_on({}, {"no such row": Q.one()}, [0, 1], 3, Q) is None
 
 
 def test_parity_homogeneous_kernel():
