@@ -300,27 +300,34 @@ def socle_vectors(m: Supercomodule):
 
 def restrict(m: Supercomodule, vectors):
     """Subcomodule on the given independent homogeneous vectors (in ambient
-    coordinates); raises if the span is not coaction-stable."""
+    coordinates); raises if the span is not coaction-stable. One elimination
+    of the basis, augmented by the per-monomial component of every image,
+    gives all coordinates; a pivot in an augmented column means a component
+    outside the span."""
     field = m.field
     if not vectors:
         return Supercomodule(m.algebra, (), []), []
     basis = [v for _, v in vectors]
     parities = [p for p, _ in vectors]
-    rows = []
-    for p, v in vectors:
-        image = m.coact_vector(v)
+    targets, columns = [], []
+    for s, v in enumerate(basis):
         per_mono = {}
-        for (j, chars, eps), c in image.items():
+        for (j, chars, eps), c in m.coact_vector(v).items():
             per_mono.setdefault((chars, eps), [field.zero()] * m.dim)[j] = c
-        row = []
         for (chars, eps), target in per_mono.items():
-            coords = superlin.in_span(basis, target, field)
-            if coords is None:
-                raise DecompositionError("span is not a subcomodule")
-            for t, c in enumerate(coords):
-                if not c.is_zero():
-                    row.append((t, c, chars, eps))
-        rows.append(row)
+            targets.append((s, chars, eps))
+            columns.append(target)
+    k = len(basis)
+    reduced, pivots = superlin.row_reduce(
+        [[col[i] for col in basis + columns] for i in range(m.dim)], field)
+    if pivots and pivots[-1] >= k:
+        raise DecompositionError("span is not a subcomodule")
+    rows = [[] for _ in basis]
+    for q, (s, chars, eps) in enumerate(targets):
+        for i, pc in enumerate(pivots):
+            c = reduced[i][k + q]
+            if not c.is_zero():
+                rows[s].append((pc, c, chars, eps))
     return Supercomodule(m.algebra, tuple(parities), rows), basis
 
 

@@ -8,15 +8,17 @@ columns, eliminate, and return vectors at full length. Row order, repeated
 keys and zero rows do not matter: the reduced row echelon form depends only on
 the row space. The dense routines (`row_reduce`, `kernel_basis`, `solve`, ...)
 do the elimination on lists of rows; pivoting takes the first nonzero entry.
-All results are exact. Koszul-sign helpers for tensor manipulations live here
-as well.
+Every entry must belong to the `field` argument (else DescriptorMismatch):
+`row_reduce` eliminates on the raw values through the field's underscore
+methods and boxes the result once. All results are exact. Koszul-sign helpers
+for tensor manipulations live here as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import Field
+from .fields import DescriptorMismatch, Field, FieldElement
 
 EVEN, ODD = 0, 1
 
@@ -183,30 +185,31 @@ def braiding(v: SuperVectorSpace, w: SuperVectorSpace, field: Field) -> SuperLin
 
 
 def row_reduce(rows, field: Field):
-    """Reduced row echelon form (in place on a copy); returns (rows, pivots)."""
-    rows = [row[:] for row in rows]
+    """Reduced row echelon form of a copy of `rows`; returns (rows, pivots).
+    Every entry must belong to `field`: the elimination runs on the raw values
+    through the field's underscore methods and boxes the result once."""
+    if any(x.field is not field for row in rows for x in row):
+        raise DescriptorMismatch("entry does not belong to the given field")
+    rows = [[x._v for x in row] for row in rows]
+    is_zero, inv, mul, neg, add = field._is_zero, field._inv, field._mul, field._neg, field._add
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots = []
     r = 0
     for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if not rows[i][c].is_zero():
-                pr = i
-                break
+        pr = next((i for i in range(r, m) if not is_zero(rows[i][c])), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        s = inv(rows[r][c])
+        pivot = rows[r] = [mul(x, s) for x in rows[r]]
         for i in range(m):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            if i != r and not is_zero(rows[i][c]):
+                f = neg(rows[i][c])
+                rows[i] = [add(x, mul(f, y)) for x, y in zip(rows[i], pivot)]
         pivots.append(c)
         r += 1
-    return rows, pivots
+    return [[FieldElement(field, x) for x in row] for row in rows], pivots
 
 
 def rank(rows, field: Field) -> int:
@@ -252,18 +255,6 @@ def echelon_extend(vectors, dim, field: Field):
     rows = [v[:] for v in vectors]
     _, pivots = row_reduce(rows, field) if rows else ([], [])
     return [c for c in range(dim) if c not in pivots]
-
-
-def in_span(vectors, vec, field: Field):
-    """Coordinates of vec in span(vectors), or None."""
-    if not vectors:
-        return [] if all(v.is_zero() for v in vec) else None
-    n = len(vec)
-    rows = [[vectors[j][i] for j in range(len(vectors))] for i in range(n)]
-    try:
-        return solve(rows, vec, field)
-    except InconsistentSystem:
-        return None
 
 
 # ---------------------------------------------------------------------------

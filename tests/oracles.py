@@ -5,7 +5,8 @@ decided by integer square roots or by squaring every residue, separability
 by a Euclid gcd on plain int / Fraction coefficient lists, comodule
 decompositions by enumerating line closures over a finite field, and
 extension spaces by solving for all perturbed coactions modulo change of
-splitting.
+splitting. The last two run over F_p only and eliminate with their own
+Gauss-Jordan on int residues, not with superhopf.superlin.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from superhopf import superlin
 from superhopf.dgxrep import IndecompLabel, Supercomodule, standard_object
 
 
@@ -69,6 +69,52 @@ def is_separable(coeffs, p: int) -> bool:
     while b:
         a, b = b, _remainder(a, b, p)
     return len(a) == 1
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jordan elimination on residues mod p
+
+
+def _residues(vec):
+    """An F_p vector as plain int residues."""
+    return [c.prime_value() for c in vec]
+
+
+def _rref_mod_p(rows, p):
+    """Reduced row echelon form of int rows mod p; returns (rows, pivots)."""
+    rows = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _rank_mod_p(rows, p):
+    return len(_rref_mod_p(rows, p)[1])
+
+
+def _kernel_mod_p(rows, p):
+    """Basis of the right kernel of int rows mod p."""
+    reduced, pivots = _rref_mod_p(rows, p)
+    basis = []
+    for fc in (c for c in range(len(rows[0])) if c not in pivots):
+        vec = [0] * len(rows[0])
+        vec[fc] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = -reduced[i][fc] % p
+        basis.append(vec)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +204,6 @@ def _two_dim_label(m: Supercomodule, basis_rows):
     """Label of a simple two-dimensional subcomodule given by its echelon
     basis: reads off the diagonal character of the even-side vector."""
     alg = m.algebra
-    field = m.field
     vecs = [row for _, row in basis_rows]
     pars = []
     for v in vecs:
@@ -168,15 +213,6 @@ def _two_dim_label(m: Supercomodule, basis_rows):
                 par = m.parities[i]
                 break
         pars.append(par)
-    # diagonal characters: rho(v) = v (x) h + (other) (x) h' z
-    for v, par in zip(vecs, pars):
-        image = m.coact_vector(v)
-        diag = None
-        for (j, chars, eps), c in image.items():
-            if eps == 0:
-                coords = superlin.in_span(vecs, _unit_like(m, j, c, field), field)
-                diag = chars
-        # the vector of parity epsilon plays the even slot of L(h)
     # identify h as the diagonal character on the vector whose coaction's
     # z-component points at the other vector with the shifted character g*h
     for v, par in zip(vecs, pars):
@@ -191,12 +227,6 @@ def _two_dim_label(m: Supercomodule, basis_rows):
             if all(z == gh for z in zchars):
                 return IndecompLabel("L", h, par == 1)
     return None
-
-
-def _unit_like(m, j, c, field):
-    out = [field.zero()] * m.dim
-    out[j] = c
-    return out
 
 
 def comodule_label_multiset_bruteforce(m: Supercomodule, p: int):
@@ -251,7 +281,7 @@ def comodule_label_multiset_bruteforce(m: Supercomodule, p: int):
     # quotient by the socle
     top_counts = {}
     if len(socle_basis) < m.dim:
-        q = _quotient_comodule(m, [row for _, row in socle_basis])
+        q = _quotient_comodule(m, [row for _, row in socle_basis], p)
         ops_q = _coaction_operators(q)
         seen_q = set()
         for parity, vec in _all_homogeneous_vectors(q, p):
@@ -299,7 +329,7 @@ def _contains_invariant_line(m, ops, closure, p):
         for mat in ops.values():
             img = [sum((mat[r][c2] * vec[c2] for c2 in range(m.dim)), start=field.zero())
                    for r in range(m.dim)]
-            if superlin.in_span([vec], img, field) is None:
+            if _rank_mod_p([_residues(vec), _residues(img)], p) > 1:
                 stable = False
                 break
         if stable:
@@ -307,19 +337,19 @@ def _contains_invariant_line(m, ops, closure, p):
     return False
 
 
-def _quotient_comodule(m: Supercomodule, sub_vectors):
+def _quotient_comodule(m: Supercomodule, sub_vectors, p):
     """Quotient of m by the subcomodule spanned by sub_vectors."""
     field = m.field
-    reduced, pivots = superlin.row_reduce([v[:] for v in sub_vectors], field)
+    reduced, pivots = _rref_mod_p([_residues(v) for v in sub_vectors], p)
     free = [c for c in range(m.dim) if c not in pivots]
 
     def project(vec):
-        v = list(vec)
+        v = _residues(vec)
         for i, pc in enumerate(pivots):
-            if not v[pc].is_zero():
+            if v[pc]:
                 coef = v[pc]
-                v = [a - coef * b for a, b in zip(v, reduced[i])]
-        return [v[c] for c in free]
+                v = [(a - coef * b) % p for a, b in zip(v, reduced[i])]
+        return [field.from_int(v[c]) for c in free]
 
     parities = tuple(m.parities[c] for c in free)
     rows = []
@@ -347,7 +377,7 @@ def _quotient_comodule(m: Supercomodule, sub_vectors):
 def ext1_bruteforce(algebra, s: IndecompLabel, t: IndecompLabel) -> int:
     """dim Ext^1(S, T): solve for all even coaction perturbations delta on
     T (+) S satisfying counit, parity and coassociativity (cocycles), modulo
-    those induced by a change of splitting (coboundaries)."""
+    those induced by a change of splitting (coboundaries). Over F_p only."""
     field = algebra.field
     S = standard_object(algebra, s)
     T = standard_object(algebra, t)
@@ -406,7 +436,8 @@ def ext1_bruteforce(algebra, s: IndecompLabel, t: IndecompLabel) -> int:
                     row = eqrow(key)
                     row[var(s_i, j, a_idx)] = row[var(s_i, j, a_idx)] + c
     rows.extend(eq.values())
-    cocycles = superlin.kernel_basis(rows, field) if rows else []
+    p = field.p
+    cocycles = _kernel_mod_p([_residues(r) for r in rows], p) if rows else []
     if not cocycles:
         return 0
     cob = []
@@ -423,7 +454,7 @@ def ext1_bruteforce(algebra, s: IndecompLabel, t: IndecompLabel) -> int:
                     if s_i == i0:
                         k = var(i, j0, amon_index[(ch, e)])
                         vec[k] = vec[k] - c
-            cob.append(vec)
-    dim_total = superlin.rank([r[:] for r in cob + cocycles], field)
-    dim_b = superlin.rank([r[:] for r in cob], field) if cob else 0
+            cob.append(_residues(vec))
+    dim_total = _rank_mod_p(cob + cocycles, p)
+    dim_b = _rank_mod_p(cob, p)
     return dim_total - dim_b

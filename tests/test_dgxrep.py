@@ -16,7 +16,9 @@ from superhopf.dgxrep import (
     dual_pairing_tampered,
     ext1,
     labels_isomorphic,
+    restrict,
     socle,
+    socle_vectors,
     standard_object,
     tensor_comodule,
 )
@@ -40,6 +42,12 @@ def algebra_mu5():
 
 
 def scramble(m, rng, entry=None):
+    return scramble_with_matrix(m, rng, entry)[0]
+
+
+def scramble_with_matrix(m, rng, entry=None):
+    """A random invertible parity-preserving change of basis of m, as
+    (scrambled comodule, matrix)."""
     field = m.field
     n = m.dim
     for _ in range(300):
@@ -49,7 +57,7 @@ def scramble(m, rng, entry=None):
                 if m.parities[i] == m.parities[j]:
                     mat[i][j] = entry(rng) if entry else field.from_int(rng.randrange(field.p))
         try:
-            return m.change_basis(mat)
+            return m.change_basis(mat), mat
         except DecompositionError:
             continue
     raise RuntimeError("no invertible change of basis found")
@@ -197,6 +205,76 @@ def test_comodule_homs_are_even_morphisms_randomized():
             assert superlin.rank(flat, alg.field) == len(homs)
             total += len(homs)
     assert total > 0
+
+
+def _scrambled_with_blocks(alg, labels, rng, entry):
+    """A scrambled direct sum of standard objects and, per summand, its basis
+    as (parity, vector) pairs in the scrambled coordinates."""
+    m = None
+    for lab in labels:
+        so = standard_object(alg, lab)
+        m = so if m is None else m.direct_sum(so)
+    field, n = alg.field, m.dim
+    ms, mat = scramble_with_matrix(m, rng, entry)
+    # old basis vector m_j in the new coordinates: mat * x = e_j
+    old = [(m.parities[j], superlin.solve(mat, [field.one() if i == j else field.zero()
+                                                for i in range(n)], field))
+           for j in range(n)]
+    blocks, start = [], 0
+    for lab in labels:
+        size = 2 if lab.kind == "L" else 1
+        blocks.append(old[start:start + size])
+        start += size
+    return ms, blocks
+
+
+def _reference_restriction(m, vectors):
+    """Coaction of the span of `vectors`, one solve per basis vector and
+    coacting monomial."""
+    field = m.field
+    basis = [v for _, v in vectors]
+    columns = [[v[i] for v in basis] for i in range(m.dim)]
+    rows = []
+    for v in basis:
+        per_mono = {}
+        for (j, chars, eps), c in m.coact_vector(v).items():
+            per_mono.setdefault((chars, eps), [field.zero()] * m.dim)[j] = c
+        rows.append([(t, c, chars, eps) for (chars, eps), target in per_mono.items()
+                     for t, c in enumerate(superlin.solve(columns, target, field))])
+    return Supercomodule(m.algebra, [p for p, _ in vectors], rows)
+
+
+def test_restrict_matches_per_monomial_solves():
+    rng = random.Random(61)
+    Qi = QuadraticField(-1)
+    i_unit = Qi.generator()
+    cases = [
+        (algebra_mu4(), None),
+        (algebra_mu4(g_exp=2, field=Qi),
+         lambda r: Qi.from_int(r.randint(-2, 2)) + i_unit * r.randint(-2, 2)),
+    ]
+    unstable = 0
+    for alg, entry in cases:
+        pool = [IndecompLabel(kind, (c,), s) for kind in "LS" for c in range(4)
+                for s in (False, True)]
+        for _ in range(6):
+            labels = [rng.choice(pool) for _ in range(rng.randint(2, 4))]
+            ms, blocks = _scrambled_with_blocks(alg, labels, rng, entry)
+            for vectors in (socle_vectors(ms), rng.choice(blocks)):
+                sub, basis = restrict(ms, vectors)
+                assert basis == [v for _, v in vectors]
+                assert sub.parities == tuple(p for p, _ in vectors)
+                assert sub.coaction == _reference_restriction(ms, vectors).coaction
+                assert sub.validate() == []
+            for lab, block in zip(labels, blocks):
+                if lab.kind == "L":
+                    # the top vector of L(h) alone spans no subcomodule
+                    with pytest.raises(DecompositionError):
+                        restrict(ms, block[1:])
+                    unstable += 1
+    assert unstable > 0
+    empty, basis = restrict(ms, [])
+    assert empty.dim == 0 and basis == []
 
 
 def test_decompose_iso_is_verified_morphism():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from superhopf import superlin
-from superhopf.fields import GF, QQ, FunctionField, QuadraticField
+from superhopf.fields import GF, QQ, DescriptorMismatch, FunctionField, QuadraticField
 from superhopf.superlin import (
     EVEN,
     ODD,
@@ -124,6 +124,80 @@ def test_solve_round_trip_randomized():
     Q = QQ()
     assert superlin.solve_on({}, {}, [0, 1], 3, Q) == [Q.zero()] * 3
     assert superlin.solve_on({}, {"no such row": Q.one()}, [0, 1], 3, Q) is None
+
+
+ELIMINATION_FIELDS = [QQ(), GF(3), GF(5), FunctionField(5, "t"), FunctionField(3, "t"),
+                      FunctionField(0, "t"), QuadraticField(-1), QuadraticField(2)]
+
+
+def _reference_row_reduce(rows, field):
+    """Gauss-Jordan on boxed field elements with the first nonzero pivot:
+    the loop that row_reduce runs on raw values."""
+    rows = [row[:] for row in rows]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = None
+        for i in range(r, m):
+            if not rows[i][c].is_zero():
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+@pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=repr)
+def test_row_reduce_matches_boxed_reference(field):
+    """Equal rows and pivots on empty, wide, tall, square, sparse,
+    rank-deficient, zero-row and zero-column matrices; the input is kept."""
+    rng = random.Random(37)
+    zero = field.zero()
+
+    def rand(m, n, density=0.7):
+        return [[field.random(rng) if rng.random() < density else zero for _ in range(n)]
+                for _ in range(m)]
+
+    cases = [[], [[]], [[], []], [[zero] * 3] * 2]
+    for k in (1, 2, 3):
+        cases += [rand(2, 6), rand(6, 2), rand(4, 4), rand(4, 5, 0.3)]
+        left, right = rand(5, k, 1), rand(k, 4, 1)
+        cases.append([_mat_vec(left, col, field) for col in zip(*right)])  # rank <= k
+        with_zero_row = rand(3, 4)
+        with_zero_row.insert(rng.randint(0, 3), [zero] * 4)
+        cases.append(with_zero_row)
+        cases.append([row[:1] + [zero] + row[1:] for row in rand(4, 3)])
+    ranks = set()
+    for rows in cases:
+        before = [row[:] for row in rows]
+        reduced, pivots = superlin.row_reduce(rows, field)
+        assert (reduced, pivots) == _reference_row_reduce(rows, field)
+        assert rows == before
+        assert all(x.field is field for row in reduced for x in row)
+        ranks.add(len(pivots))
+    assert ranks >= {0, 1, 2, 4}
+
+
+def test_row_reduce_rejects_entries_of_another_field():
+    Q, F3, F5 = QQ(), GF(3), GF(5)
+    # the foreign entry is a zero that the elimination never multiplies
+    with pytest.raises(DescriptorMismatch):
+        superlin.row_reduce([[Q.one(), Q.zero()], [F5.zero(), Q.zero()]], Q)
+    with pytest.raises(DescriptorMismatch):
+        superlin.row_reduce([[F5.one()], [F3.zero()]], F5)
+    with pytest.raises(DescriptorMismatch):
+        superlin.row_reduce([[Q.one(), Q.from_int(2)]], F5)
 
 
 def test_parity_homogeneous_kernel():
