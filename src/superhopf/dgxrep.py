@@ -14,8 +14,9 @@ hz-component with h annihilated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .fields import Field
+from .fields import Field, lincomb
 from .hopfcore import MonomialHopfSuperalgebra
 from . import superlin
 
@@ -57,7 +58,9 @@ class Supercomodule:
     """Right supercomodule given by an exact coaction table.
 
     coaction[i] is a tuple of (target_index, coefficient, char_exponents, eps)
-    meaning rho(m_i) contains coefficient * m_target (x) h z^eps.
+    meaning rho(m_i) contains coefficient * m_target (x) h z^eps. The
+    constructor merges repeated (target, character, eps) entries of a row and
+    drops the zero sums, so each stored row is sorted, merged and zero-free.
     """
 
     def __init__(self, algebra: MonomialHopfSuperalgebra, parities, coaction):
@@ -66,16 +69,12 @@ class Supercomodule:
         self.algebra = algebra
         self.field = algebra.field
         self.parities = tuple(parities)
+        field, reduce = self.field, algebra.group.reduce
         norm = []
         for row in coaction:
-            merged = {}
-            for j, c, chars, eps in row:
-                key = (j, algebra.group.reduce(chars), int(eps))
-                c = self.field.parse(c)
-                cur = merged.get(key)
-                merged[key] = c if cur is None else cur + c
-            norm.append(tuple((j, c, ch, e) for (j, ch, e), c in sorted(merged.items(),
-                        key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])) if not c.is_zero()))
+            merged = lincomb(field, (((j, reduce(chars), int(eps)), field.parse(c))
+                                     for j, c, chars, eps in row))
+            norm.append(tuple((j, c, ch, e) for (j, ch, e), c in sorted(merged.items())))
         self.coaction = tuple(norm)
         if len(self.coaction) != self.dim:
             raise InvalidLabel("coaction rows do not match the dimension")
@@ -102,16 +101,9 @@ class Supercomodule:
 
     def coact_vector(self, vec):
         """rho(sum vec_i m_i) as {(target, chars, eps): coefficient}."""
-        out = {}
-        for i, c in enumerate(vec):
-            if c.is_zero():
-                continue
-            for j, d, chars, eps in self.coaction[i]:
-                key = (j, chars, eps)
-                val = c * d
-                cur = out.get(key)
-                out[key] = val if cur is None else cur + val
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return lincomb(self.field, (((j, chars, eps), c * d)
+                                    for c, row in zip(vec, self.coaction) if c
+                                    for j, d, chars, eps in row))
 
     def parity_shift(self):
         return Supercomodule(self.algebra, tuple(1 - p for p in self.parities), self.coaction)
@@ -128,66 +120,39 @@ class Supercomodule:
         new basis vectors in old coordinates); matrix must be invertible and
         parity-preserving."""
         n = self.dim
-        field = self.field
-        inv = _invert(matrix, field)
+        inv = _invert(matrix, self.field)
         rows = []
         for i in range(n):
-            newvec = [matrix[r][i] for r in range(n)]
-            image = self.coact_vector(newvec)
-            row = {}
-            for (j, chars, eps), c in image.items():
-                for t in range(n):
-                    coeff = inv[t][j] * c
-                    if coeff.is_zero():
-                        continue
-                    key = (t, chars, eps)
-                    cur = row.get(key)
-                    row[key] = coeff if cur is None else cur + coeff
-            rows.append([(t, c, ch, e) for (t, ch, e), c in row.items()])
+            image = self.coact_vector([matrix[r][i] for r in range(n)])
+            rows.append([(t, inv[t][j] * c, chars, eps)
+                         for (j, chars, eps), c in image.items() for t in range(n) if inv[t][j]])
         return Supercomodule(self.algebra, self.parities, rows)
 
     def validate(self):
         """Exact comodule-axiom check: parity of the coaction, counit, and
         coassociativity against the coacting algebra's coproduct."""
         alg = self.algebra
+        field = self.field
         failures = []
         for i in range(self.dim):
             for j, c, chars, eps in self.coaction[i]:
                 if (self.parities[j] + eps - self.parities[i]) % 2:
                     failures.append(("coaction parity", f"row {i} target {j}"))
-        for i in range(self.dim):
-            total = {}
-            for j, c, chars, eps in self.coaction[i]:
-                if eps == 0:
-                    total[j] = total.get(j, self.field.zero()) + c
-            for j in range(self.dim):
-                expect = self.field.one() if j == i else self.field.zero()
-                if not (total.get(j, self.field.zero()) - expect).is_zero():
-                    failures.append(("counit", f"row {i}"))
-                    break
-        for i in range(self.dim):
-            lhs = {}
-            for j, c, chars, eps in self.coaction[i]:
-                for t, d, chars2, eps2 in self.coaction[j]:
-                    key = (t, chars2, eps2, chars, eps)
-                    val = c * d
-                    cur = lhs.get(key)
-                    lhs[key] = val if cur is None else cur + val
-            rhs = {}
-            for j, c, chars, eps in self.coaction[i]:
-                mono = alg.monomial(chars, eps=eps)
-                for (m1, m2), d in alg.delta_monomial(mono).terms.items():
-                    key = (j, m1[0], m1[2], m2[0], m2[2])
-                    val = c * d
-                    cur = rhs.get(key)
-                    rhs[key] = val if cur is None else cur + val
-            keys = set(lhs) | set(rhs)
-            for key in keys:
-                a = lhs.get(key, self.field.zero())
-                b = rhs.get(key, self.field.zero())
-                if not (a - b).is_zero():
-                    failures.append(("coassociativity", f"row {i} at {key}"))
-                    break
+        for i, row in enumerate(self.coaction):
+            if lincomb(field, ((j, c) for j, c, _, eps in row if eps == 0)) != {i: field.one()}:
+                failures.append(("counit", f"row {i}"))
+        for i, row in enumerate(self.coaction):
+            # (rho (x) id) rho(m_i) against (id (x) Delta) rho(m_i)
+            lhs = lincomb(field, (((t, chars2, eps2, chars, eps), c * d)
+                                  for j, c, chars, eps in row
+                                  for t, d, chars2, eps2 in self.coaction[j]))
+            rhs = lincomb(field, (((j, m1[0], m1[2], m2[0], m2[2]), c * d)
+                                  for j, c, chars, eps in row
+                                  for (m1, m2), d in
+                                  alg.delta_monomial(alg.monomial(chars, eps=eps)).terms.items()))
+            if lhs != rhs:
+                key = next(k for k in chain(lhs, rhs) if lhs.get(k) != rhs.get(k))
+                failures.append(("coassociativity", f"row {i} at {key}"))
         return failures
 
     def to_json(self):
@@ -247,7 +212,7 @@ def standard_object(algebra: MonomialHopfSuperalgebra, label: IndecompLabel) -> 
     parities = (ODD, EVEN) if label.shifted else (EVEN, ODD)
     one = algebra.field.one()
     rows = [
-        [(0, one, h.exps, 0)] + ([(1, alpha, gh, 1)] if not alpha.is_zero() else []),
+        [(0, one, h.exps, 0), (1, alpha, gh, 1)],
         [(0, one, h.exps, 1), (1, one, gh, 0)],
     ]
     return Supercomodule(algebra, parities, rows)
@@ -454,31 +419,25 @@ def decompose(m: Supercomodule) -> DecompositionResult:
     ambient = [[field.one() if i == j else field.zero() for j in range(m.dim)]
                for i in range(m.dim)]
 
+    def to_ambient(vectors):
+        # vectors in `current` coordinates, skipping their zero coordinates
+        out = []
+        for v in vectors:
+            terms = [(c, ambient[i]) for i, c in enumerate(v) if c]
+            out.append([sum((c * row[t] for c, row in terms), start=field.zero())
+                        for t in range(m.dim)])
+        return out
+
     while current.dim > 0:
-        peeled = _peel_one(current)
-        label, block, embedding, retraction = peeled
+        label, _, embedding, retraction = _peel_one(current)
         labels.append(canonical_label(alg, label))
         # embedding/retraction are in `current` coordinates; push to ambient
-        blocks.append(
-            (
-                label,
-                [
-                    [sum((embedding[b][i] * ambient[i][t] for i in range(current.dim)),
-                         start=field.zero()) for t in range(m.dim)]
-                    for b in range(block.dim)
-                ],
-            )
-        )
+        blocks.append((label, to_ambient(embedding)))
         # complement = kernel of retraction, taken parity-homogeneously
         system = {t: dict(enumerate(row)) for t, row in enumerate(retraction)}
         complement = superlin.kernel_by_parity(system, current.parities, field)
-        new_current, basis = restrict(current, complement)
-        ambient = [
-            [sum((basis[a][i] * ambient[i][t] for i in range(current.dim)),
-                 start=field.zero()) for t in range(m.dim)]
-            for a in range(len(basis))
-        ]
-        current = new_current
+        current, basis = restrict(current, complement)
+        ambient = to_ambient(basis)
 
     # assemble and verify the isomorphism
     total = sum(label_dim(l) for l in labels)
@@ -557,24 +516,10 @@ def _verify_decomposition(m, labels, blocks, iso):
     for label, rows in blocks:
         block = standard_object(m.algebra, label)
         for b in range(block.dim):
-            vec = rows[b]
-            lhs = m.coact_vector(vec)
-            rhs = {}
-            for t, c, chars, eps in block.coaction[b]:
-                target = rows[t]
-                for i in range(n):
-                    if target[i].is_zero():
-                        continue
-                    key = (i, chars, eps)
-                    val = target[i] * c
-                    cur = rhs.get(key)
-                    rhs[key] = val if cur is None else cur + val
-            keys = set(lhs) | set(rhs)
-            for key in keys:
-                a = lhs.get(key, field.zero())
-                b2 = rhs.get(key, field.zero())
-                if not (a - b2).is_zero():
-                    raise DecompositionError("assembled map is not a comodule morphism")
+            rhs = lincomb(field, (((i, chars, eps), rows[t][i] * c)
+                                  for t, c, chars, eps in block.coaction[b] for i in range(n)))
+            if m.coact_vector(rows[b]) != rhs:
+                raise DecompositionError("assembled map is not a comodule morphism")
 
 
 def socle(m: Supercomodule):
@@ -616,7 +561,6 @@ def ext1(algebra: MonomialHopfSuperalgebra, s: IndecompLabel, t: IndecompLabel):
 def tensor_comodule(m: Supercomodule, n: Supercomodule) -> Supercomodule:
     """m (x) n with the Koszul-signed tensor coaction."""
     alg = m.algebra
-    field = m.field
     parities = []
     for pm in m.parities:
         for pn in n.parities:
@@ -624,20 +568,16 @@ def tensor_comodule(m: Supercomodule, n: Supercomodule) -> Supercomodule:
     rows = []
     for i in range(m.dim):
         for j in range(n.dim):
-            row = {}
+            row = []
             for a, c1, ch1, e1 in m.coaction[i]:
                 for b, c2, ch2, e2 in n.coaction[j]:
                     if e1 and e2:
                         continue
-                    sign = -1 if (e1 and n.parities[b]) else 1
-                    chars = alg.group.reduce(tuple(p + q for p, q in zip(ch1, ch2)))
-                    key = (a * n.dim + b, chars, e1 | e2)
                     val = c1 * c2
-                    if sign < 0:
-                        val = -val
-                    cur = row.get(key)
-                    row[key] = val if cur is None else cur + val
-            rows.append([(t, c, ch, e) for (t, ch, e), c in row.items()])
+                    chars = tuple(p + q for p, q in zip(ch1, ch2))
+                    row.append((a * n.dim + b, -val if e1 and n.parities[b] else val,
+                                chars, e1 | e2))
+            rows.append(row)
     return Supercomodule(alg, parities, rows)
 
 
@@ -665,22 +605,12 @@ def _check_pairing(left, right, values):
     id_key = (alg.group.identity().exps, 0)
     for i in range(left.dim):
         for j in range(right.dim):
-            idx = i * n + j
-            total = {}
-            for t, c, chars, eps in tens.coaction[idx]:
-                f = values.get((t // n, t % n), field.zero())
-                if f.is_zero():
-                    continue
-                key = (chars, eps)
-                val = c * f
-                cur = total.get(key)
-                total[key] = val if cur is None else cur + val
-            expect = values.get((i, j), field.zero())
-            if not (total.get(id_key, field.zero()) - expect).is_zero():
+            total = lincomb(field, (((chars, eps), c * values[divmod(t, n)])
+                                    for t, c, chars, eps in tens.coaction[i * n + j]
+                                    if divmod(t, n) in values))
+            if total.get(id_key, field.zero()) != values.get((i, j), field.zero()):
                 failures.append((i, j, "identity component"))
-            for key, val in total.items():
-                if key != id_key and not val.is_zero():
-                    failures.append((i, j, key))
+            failures.extend((i, j, key) for key in total if key != id_key)
     # non-degeneracy of the 2x2 value matrix
     mat = [[values.get((i, j), field.zero()) for j in range(right.dim)]
            for i in range(left.dim)]

@@ -695,3 +695,32 @@ class FieldElement:
 
     def __repr__(self):
         return f"<{self} in {self.field!r}>"
+
+
+def lincomb(field: Field, terms) -> dict:
+    """The sparse linear combination of `terms` as a new dict {key: sum}.
+
+    `terms` is a dict or an iterable of (key, coefficient) pairs. Equal keys
+    are merged; the result keeps first-insertion order and leaves out the
+    zero sums. Every coefficient must be an element of `field`
+    (DescriptorMismatch otherwise). This is the one place where sparse
+    coefficients are merged and zeros dropped.
+    """
+    if isinstance(terms, dict):
+        terms = terms.items()
+    out = {}
+    get = out.get
+    add = field._add
+    for key, c in terms:
+        if type(c) is not FieldElement or c.field is not field:
+            raise DescriptorMismatch(f"coefficient {c!r} is not in {field!r}")
+        cur = get(key)
+        if cur is None:
+            out[key] = c
+        else:
+            out[key] = FieldElement(field, add(cur._v, c._v))
+    is_zero = field._is_zero
+    for c in out.values():  # copy only when some sum is zero
+        if is_zero(c._v):
+            return {key: c for key, c in out.items() if not is_zero(c._v)}
+    return out

@@ -18,9 +18,10 @@ consistency of the multiplicative extension is asserted by it, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from itertools import chain
 
 from .chargroup import Character, GroupDescriptor, LieFunctional
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, lincomb
 from . import superlin
 
 
@@ -52,31 +53,31 @@ def format_monomial(mono, k):
 
 
 class HopfElement:
-    """Sparse K-linear combination of monomials of a fixed algebra."""
+    """Sparse K-linear combination of monomials of a fixed algebra.
+
+    `terms` (a dict or an iterable of (monomial, coefficient) pairs) is
+    merged by `fields.lincomb`, so `self.terms` never holds a zero or a
+    coefficient from another field."""
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
+        self.terms = lincomb(algebra.field, terms)
 
     def __add__(self, other):
         assert self.algebra is other.algebra
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = out.get(m)
-            out[m] = c if cur is None else cur + c
-        return HopfElement(self.algebra, out)
+        return HopfElement(self.algebra, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return HopfElement(self.algebra, {m: -c for m, c in self.terms.items()})
+        return HopfElement(self.algebra, ((m, -c) for m, c in self.terms.items()))
 
     def scale(self, c):
         c = self.algebra.field.parse(c)
-        return HopfElement(self.algebra, {m: c * v for m, v in self.terms.items()})
+        return HopfElement(self.algebra, ((m, c * v) for m, v in self.terms.items()))
 
     def __mul__(self, other):
         return self.algebra.mul(self, other)
@@ -114,40 +115,40 @@ class HopfElement:
 
 
 class TensorElement:
-    """Element of the n-fold tensor power, keys are monomial tuples."""
+    """Element of the n-fold tensor power, keys are monomial tuples. As for
+    HopfElement, `self.terms` never holds a zero or a foreign coefficient."""
 
     __slots__ = ("algebra", "arity", "terms")
 
     def __init__(self, algebra, arity, terms):
         self.algebra = algebra
         self.arity = arity
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
+        self.terms = lincomb(algebra.field, terms)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = out.get(m)
-            out[m] = c if cur is None else cur + c
-        return TensorElement(self.algebra, self.arity, out)
+        return TensorElement(self.algebra, self.arity,
+                             chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
         c = self.algebra.field.parse(c)
-        return TensorElement(self.algebra, self.arity, {m: c * v for m, v in self.terms.items()})
+        return TensorElement(self.algebra, self.arity,
+                             ((m, c * v) for m, v in self.terms.items()))
 
     def __mul__(self, other):
         """Componentwise product with the Koszul sign rule."""
+        return TensorElement(self.algebra, self.arity, self._products(other))
+
+    def _products(self, other):
         alg = self.algebra
         n = self.arity
-        out = {}
         for ka, ca in self.terms.items():
             pa = [monomial_parity(m) for m in ka]
             for kb, cb in other.terms.items():
                 sign = 1
                 key = []
-                dead = False
                 for i in range(n):
                     if monomial_parity(kb[i]):
                         for j in range(i + 1, n):
@@ -155,18 +156,11 @@ class TensorElement:
                                 sign = -sign
                     prod = alg.mono_mul(ka[i], kb[i])
                     if prod is None:
-                        dead = True
                         break
                     key.append(prod)
-                if dead:
-                    continue
-                key = tuple(key)
-                c = ca * cb
-                if sign < 0:
-                    c = -c
-                cur = out.get(key)
-                out[key] = c if cur is None else cur + c
-        return TensorElement(alg, n, out)
+                else:
+                    c = ca * cb
+                    yield tuple(key), (c if sign > 0 else -c)
 
     def __eq__(self, other):
         return isinstance(other, TensorElement) and self.terms == other.terms
@@ -286,16 +280,10 @@ class MonomialHopfSuperalgebra:
         return (chars, tdeg, a[2] | b[2])
 
     def mul(self, u: HopfElement, v: HopfElement) -> HopfElement:
-        out = {}
-        for ma, ca in u.terms.items():
-            for mb, cb in v.terms.items():
-                m = self.mono_mul(ma, mb)
-                if m is None:
-                    continue
-                c = ca * cb
-                cur = out.get(m)
-                out[m] = c if cur is None else cur + c
-        return HopfElement(self, out)
+        mono_mul = self.mono_mul
+        return HopfElement(self, ((m, ca * cb) for ma, ca in u.terms.items()
+                                  for mb, cb in v.terms.items()
+                                  if (m := mono_mul(ma, mb)) is not None))
 
     # -- structure maps --------------------------------------------------------
     def tensor(self, arity, terms):
@@ -306,16 +294,13 @@ class MonomialHopfSuperalgebra:
         mono = self.monomial(chars)
         terms = {(mono, mono): one}
         if self.with_z:
-            alpha = self.pair_char(chars)
-            if not alpha.is_zero():
-                left = (chars, (0,) * self.k, 1)
-                right = (self.group.reduce(tuple(a + b for a, b in zip(chars, self.g.exps))), (0,) * self.k, 1)
-                terms[(left, right)] = alpha
+            gh = self.group.reduce(tuple(a + b for a, b in zip(chars, self.g.exps)))
+            terms[((chars, (0,) * self.k, 1), (gh, (0,) * self.k, 1))] = self.pair_char(chars)
         return TensorElement(self, 2, terms)
 
     def _delta_z(self):
         if self._delta_z_override is not None:
-            return TensorElement(self, 2, dict(self._delta_z_override))
+            return TensorElement(self, 2, self._delta_z_override)
         one_m = self.monomial()
         z_m = self.monomial(eps=1)
         gz_m = self.monomial(self.g.exps, eps=0)
@@ -328,11 +313,9 @@ class MonomialHopfSuperalgebra:
         one_m = self.monomial()
         terms = {(t_m, one_m): self.field.one(), (one_m, t_m): self.field.one()}
         if self.with_z:
-            c = self.x.additive[j]
-            if not c.is_zero():
-                z_m = self.monomial(eps=1)
-                gz_m = ((self.g.exps), (0,) * self.k, 1)
-                terms[(z_m, gz_m)] = c
+            z_m = self.monomial(eps=1)
+            gz_m = ((self.g.exps), (0,) * self.k, 1)
+            terms[(z_m, gz_m)] = self.x.additive[j]
         return TensorElement(self, 2, terms)
 
     def delta_monomial(self, mono) -> TensorElement:
@@ -352,10 +335,8 @@ class MonomialHopfSuperalgebra:
         return out
 
     def delta(self, u: HopfElement) -> TensorElement:
-        out = TensorElement(self, 2, {})
-        for m, c in u.terms.items():
-            out = out + self.delta_monomial(m).scale(c)
-        return out
+        return TensorElement(self, 2, ((key, c * d) for m, c in u.terms.items()
+                                       for key, d in self.delta_monomial(m).terms.items()))
 
     def counit_monomial(self, mono) -> FieldElement:
         _, tdeg, eps = mono
@@ -364,10 +345,8 @@ class MonomialHopfSuperalgebra:
         return self.field.one()
 
     def counit(self, u: HopfElement) -> FieldElement:
-        out = self.field.zero()
-        for m, c in u.terms.items():
-            out = out + c * self.counit_monomial(m)
-        return out
+        return sum((c for m, c in u.terms.items() if not self.counit_monomial(m).is_zero()),
+                   self.field.zero())
 
     def antipode_monomial(self, mono):
         chars, tdeg, eps = mono
@@ -378,69 +357,43 @@ class MonomialHopfSuperalgebra:
         return (self.group.reduce(new_chars), tdeg, eps), sign
 
     def antipode(self, u: HopfElement) -> HopfElement:
-        out = {}
+        out = []
         for m, c in u.terms.items():
             mm, sign = self.antipode_monomial(m)
-            c = c if sign > 0 else -c
-            cur = out.get(mm)
-            out[mm] = c if cur is None else cur + c
+            out.append((mm, c if sign > 0 else -c))
         return HopfElement(self, out)
 
     # -- tensor-leg operations ---------------------------------------------------
     def delta_left(self, t: TensorElement) -> TensorElement:
-        out = {}
-        for (u, v), c in t.terms.items():
-            for (a, b), d in self.delta_monomial(u).terms.items():
-                key = (a, b, v)
-                val = c * d
-                cur = out.get(key)
-                out[key] = val if cur is None else cur + val
-        return TensorElement(self, 3, out)
+        return TensorElement(self, 3, (((a, b, v), c * d) for (u, v), c in t.terms.items()
+                                       for (a, b), d in self.delta_monomial(u).terms.items()))
 
     def delta_right(self, t: TensorElement) -> TensorElement:
-        out = {}
-        for (u, v), c in t.terms.items():
-            for (a, b), d in self.delta_monomial(v).terms.items():
-                key = (u, a, b)
-                val = c * d
-                cur = out.get(key)
-                out[key] = val if cur is None else cur + val
-        return TensorElement(self, 3, out)
+        return TensorElement(self, 3, (((u, a, b), c * d) for (u, v), c in t.terms.items()
+                                       for (a, b), d in self.delta_monomial(v).terms.items()))
 
     def counit_left(self, t: TensorElement) -> HopfElement:
-        out = {}
-        for (u, v), c in t.terms.items():
-            e = self.counit_monomial(u)
-            if e.is_zero():
-                continue
-            val = c * e
-            cur = out.get(v)
-            out[v] = val if cur is None else cur + val
-        return HopfElement(self, out)
+        # the counit of a monomial is 1 or 0
+        return HopfElement(self, ((v, c) for (u, v), c in t.terms.items()
+                                  if not self.counit_monomial(u).is_zero()))
 
     def counit_right(self, t: TensorElement) -> HopfElement:
-        out = {}
-        for (u, v), c in t.terms.items():
-            e = self.counit_monomial(v)
-            if e.is_zero():
-                continue
-            val = c * e
-            cur = out.get(u)
-            out[u] = val if cur is None else cur + val
-        return HopfElement(self, out)
+        return HopfElement(self, ((u, c) for (u, v), c in t.terms.items()
+                                  if not self.counit_monomial(v).is_zero()))
 
     def convolve_antipode(self, t: TensorElement, side) -> HopfElement:
         """m(S(x)id) or m(id(x)S) applied to a 2-tensor."""
-        out = HopfElement(self, {})
-        for (u, v), c in t.terms.items():
-            ue = HopfElement(self, {u: self.field.one()})
-            ve = HopfElement(self, {v: self.field.one()})
+        one = self.field.one()
+
+        def leg_product(u, v):
+            ue = HopfElement(self, {u: one})
+            ve = HopfElement(self, {v: one})
             if side == "left":
-                prod = self.mul(self.antipode(ue), ve)
-            else:
-                prod = self.mul(ue, self.antipode(ve))
-            out = out + prod.scale(c)
-        return out
+                return self.mul(self.antipode(ue), ve)
+            return self.mul(ue, self.antipode(ve))
+
+        return HopfElement(self, ((m, c * d) for (u, v), c in t.terms.items()
+                                  for m, d in leg_product(u, v).terms.items()))
 
     # -- serialization ----------------------------------------------------------
     def structure_json(self):
@@ -550,18 +503,16 @@ def verify_hopf_axioms(alg: MonomialHopfSuperalgebra, samples: int = 100, seed: 
         report.checks_run += 1
         name = format_monomial(m, k)
         d = alg.delta_monomial(m)
-        if not (alg.delta_left(d) - alg.delta_right(d)).is_zero():
+        if alg.delta_left(d) != alg.delta_right(d):
             report.record("coassociativity", name)
-        if not (alg.counit_left(d) - elem(m)).is_zero():
+        if alg.counit_left(d) != elem(m):
             report.record("left counit", name)
-        if not (alg.counit_right(d) - elem(m)).is_zero():
+        if alg.counit_right(d) != elem(m):
             report.record("right counit", name)
-        lhs = alg.convolve_antipode(d, "left")
         target = alg.one().scale(alg.counit_monomial(m))
-        if not (lhs - target).is_zero():
+        if alg.convolve_antipode(d, "left") != target:
             report.record("antipode (left)", name)
-        rhs = alg.convolve_antipode(d, "right")
-        if not (rhs - target).is_zero():
+        if alg.convolve_antipode(d, "right") != target:
             report.record("antipode (right)", name)
 
     for _ in range(max(1, samples // 2)):
@@ -571,14 +522,12 @@ def verify_hopf_axioms(alg: MonomialHopfSuperalgebra, samples: int = 100, seed: 
         ea, eb = elem(a), elem(b)
         prod = alg.mul(ea, eb)
         witness = f"{format_monomial(a, k)} , {format_monomial(b, k)}"
-        if not (alg.delta(prod) - alg.delta(ea) * alg.delta(eb)).is_zero():
+        if alg.delta(prod) != alg.delta(ea) * alg.delta(eb):
             report.record("Delta is an algebra map", witness)
-        ce = alg.counit(prod) - alg.counit(ea) * alg.counit(eb)
-        if not ce.is_zero():
+        if alg.counit(prod) != alg.counit(ea) * alg.counit(eb):
             report.record("counit is an algebra map", witness)
         sign = -1 if (monomial_parity(a) and monomial_parity(b)) else 1
-        flip = alg.mul(eb, ea)
-        if not (prod - flip.scale(sign)).is_zero():
+        if prod != alg.mul(eb, ea).scale(sign):
             report.record("super-commutativity", witness)
     return report
 
@@ -633,7 +582,7 @@ def _solve_tensor_condition(alg, basis_monos, condition):
         for key, c in condition(m).terms.items():
             superlin.add_entry(system, key, j, c)
     n = len(basis_monos)
-    return [HopfElement(alg, dict(zip(basis_monos, vec)))
+    return [HopfElement(alg, zip(basis_monos, vec))
             for vec in superlin.kernel_on(system, range(n), n, alg.field)]
 
 

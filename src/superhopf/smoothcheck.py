@@ -18,10 +18,11 @@ rather than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 
 from . import _expr
-from .fields import Field, FieldElement, FunctionField, poly_divmod
+from .fields import Field, FieldElement, FunctionField, lincomb, poly_divmod
 
 
 class NonTerminatingRewrite(Exception):
@@ -61,10 +62,7 @@ class PolyRing:
         return Polynomial(self, {})
 
     def const(self, c):
-        c = self.field.parse(c)
-        if c.is_zero():
-            return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial(self, {(0,) * self.nvars: self.field.parse(c)})
 
     def one(self):
         return self.const(1)
@@ -84,25 +82,25 @@ class PolyRing:
 
 
 class Polynomial:
+    """Sparse polynomial {exponent tuple: coefficient}; `terms` is merged by
+    `fields.lincomb`, so `self.terms` never holds a zero or a coefficient
+    from another field."""
+
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        self.terms = lincomb(ring.field, terms)
 
     def is_zero(self):
         return not self.terms
 
     def __add__(self, other):
         other = self.ring.parse(other) if not isinstance(other, Polynomial) else other
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            out[e] = c if cur is None else cur + c
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial(self.ring, ((e, -c) for e, c in self.terms.items()))
 
     def __sub__(self, other):
         other = self.ring.parse(other) if not isinstance(other, Polynomial) else other
@@ -111,15 +109,10 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
             c = self.ring.field.parse(other)
-            return Polynomial(self.ring, {e: c * v for e, v in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = c1 * c2
-                cur = out.get(e)
-                out[e] = v if cur is None else cur + v
-        return Polynomial(self.ring, out)
+            return Polynomial(self.ring, ((e, c * v) for e, v in self.terms.items()))
+        return Polynomial(self.ring, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                                      for e1, c1 in self.terms.items()
+                                      for e2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -137,13 +130,8 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.terms == other.terms
 
     def derivative(self, i):
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                out[tuple(ne)] = c * e[i]
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, ((e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
+                                      for e, c in self.terms.items() if e[i]))
 
     def __str__(self):
         if not self.terms:
@@ -355,11 +343,15 @@ class SuperAlgebraPresentation:
 
 
 class SuperElement:
+    """Sparse {(exponents, symbol): coefficient}; `terms` is merged by
+    `fields.lincomb` (no zero, no foreign coefficient), then brought to
+    normal form by the rewriting rules unless `reduce` is false."""
+
     __slots__ = ("pres", "terms")
 
     def __init__(self, pres, terms, reduce=True):
         self.pres = pres
-        terms = {k: c for k, c in terms.items() if not c.is_zero()}
+        terms = lincomb(pres.field, terms)
         if reduce:
             terms = _reduce_terms(pres, terms)
         self.terms = terms
@@ -368,25 +360,24 @@ class SuperElement:
         return not self.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            cur = out.get(k)
-            out[k] = c if cur is None else cur + c
-        return SuperElement(self.pres, out, reduce=False)
+        return SuperElement(self.pres, chain(self.terms.items(), other.terms.items()),
+                            reduce=False)
 
     def __neg__(self):
-        return SuperElement(self.pres, {k: -c for k, c in self.terms.items()}, reduce=False)
+        return SuperElement(self.pres, ((k, -c) for k, c in self.terms.items()), reduce=False)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         c = self.pres.field.parse(c)
-        return SuperElement(self.pres, {k: c * v for k, v in self.terms.items()}, reduce=False)
+        return SuperElement(self.pres, ((k, c * v) for k, v in self.terms.items()), reduce=False)
 
     def __mul__(self, other):
+        return SuperElement(self.pres, self._products(other))
+
+    def _products(self, other):
         pres = self.pres
-        out = {}
         for (e1, s1), c1 in self.terms.items():
             for (e2, s2), c2 in other.terms.items():
                 prods = _sym_mul(pres, s1, s2)
@@ -394,15 +385,9 @@ class SuperElement:
                     continue
                 sign, syms = prods
                 e = tuple(a + b for a, b in zip(e1, e2))
-                base = c1 * c2
-                if sign < 0:
-                    base = -base
+                base = c1 * c2 if sign > 0 else -(c1 * c2)
                 for (e3, s3), c3 in syms.items():
-                    key = (tuple(a + b for a, b in zip(e, e3)), s3)
-                    val = base * c3
-                    cur = out.get(key)
-                    out[key] = val if cur is None else cur + val
-        return SuperElement(pres, out)
+                    yield (tuple(a + b for a, b in zip(e, e3)), s3), base * c3
 
     def __pow__(self, n):
         out = self.pres.one_elem()
@@ -780,15 +765,14 @@ def hochschild_extension_presentation(p: int, alpha) -> SuperAlgebraPresentation
     t = field.generator()
     # install the untwisted rule x^2 -> y^p + t first, so that alpha itself
     # is brought to its normal form a0(y) + a1(y) x before twisting
-    tail_terms = {((0, p), SYM_ONE): field.one(), (zero_exps, SYM_ONE): t}
-    rel = Relation(0, 2, SuperElement(pres, dict(tail_terms), reduce=False))
+    tail_terms = [(((0, p), SYM_ONE), field.one()), ((zero_exps, SYM_ONE), t)]
+    rel = Relation(0, 2, SuperElement(pres, tail_terms, reduce=False))
     pres.relations.append(rel)
     alpha_elem = pres.parse_element(alpha) if not isinstance(alpha, SuperElement) else alpha
     for (exps, sym), c in alpha_elem.terms.items():
         if sym != SYM_ONE:
             raise InvalidAlpha("alpha must be an even-base element")
-        key = (exps, _sym_nu(0))
-        tail_terms[key] = tail_terms.get(key, field.zero()) + c
+        tail_terms.append(((exps, _sym_nu(0)), c))
     rel.tail = SuperElement(pres, tail_terms, reduce=False)
     return pres
 
@@ -798,17 +782,14 @@ def hochschild_split_report(pres, xvar, alpha: SuperElement):
     field = pres.field
     p = field.p
     yvar = 1 - xvar
-    a0 = {}
-    a1 = {}
+    parts = ([], [])  # the coefficients of a0 and a1, by y-degree
     for (exps, sym), c in alpha.terms.items():
         if sym != SYM_ONE:
             raise InvalidAlpha("alpha must be an even-base element")
-        if exps[xvar] == 0:
-            a0[exps[yvar]] = a0.get(exps[yvar], field.zero()) + c
-        elif exps[xvar] == 1:
-            a1[exps[yvar]] = a1.get(exps[yvar], field.zero()) + c
-        else:
+        if exps[xvar] > 1:
             raise InvalidAlpha("alpha is not in normal form")
+        parts[exps[xvar]].append((exps[yvar], c))
+    a0, a1 = (lincomb(field, part) for part in parts)
     deg0 = max(a0, default=0)
     a0_coeffs = [a0.get(i, field.zero()) for i in range(deg0 + 1)]
     modulus = [field.zero()] * (p + 1)
@@ -823,11 +804,10 @@ def hochschild_split_report(pres, xvar, alpha: SuperElement):
     if split:
         # beta = a1(y) + q(y) x satisfies x*beta = alpha
         beta_terms = {}
-        for i, c in enumerate(a1.get(j, field.zero()) for j in range(max(a1, default=0) + 1)):
-            if not c.is_zero():
-                e = [0, 0]
-                e[yvar] = i
-                beta_terms[(tuple(e), SYM_ONE)] = c
+        for i in sorted(a1):
+            e = [0, 0]
+            e[yvar] = i
+            beta_terms[(tuple(e), SYM_ONE)] = a1[i]
         for i, c in enumerate(q):
             if c:  # poly_divmod leaves an int 0 at each degree it skips
                 e = [0, 0]
@@ -879,12 +859,12 @@ def hochschild_ealpha(p: int, alpha) -> HochschildResult:
     section_verified = None
     if report["split"]:
         # x * beta == alpha inside the untwisted base ring
-        beta_r = SuperElement(pres, dict(report["witness_factor"]))
+        beta_r = SuperElement(pres, report["witness_factor"])
         factor_ok = (pres.var_elem(0) * beta_r - alpha_elem).is_zero()
         # sigma(x) = x - (beta/2) nu, sigma(y) = y is an algebra section of
         # the twisted extension; verified by substitution
         twisted = hochschild_extension_presentation(p, alpha)
-        beta = SuperElement(twisted, dict(report["witness_factor"]))
+        beta = SuperElement(twisted, report["witness_factor"])
         half = twisted.field.from_int(2).inverse()
         sx = twisted.var_elem(0) - (beta * twisted.nu_elem(0)).scale(half)
         sy = twisted.var_elem(1)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import DescriptorMismatch, Field, FieldElement
+from .fields import DescriptorMismatch, Field, FieldElement, lincomb
 
 EVEN, ODD = 0, 1
 
@@ -75,13 +75,15 @@ def tensor_space(v: SuperVectorSpace, w: SuperVectorSpace) -> SuperVectorSpace:
 
 
 class SuperLinearMap:
-    """Sparse exact linear map between super vector spaces."""
+    """Sparse exact linear map between super vector spaces; `entries`
+    {(row, column): coefficient} is merged by `fields.lincomb`, so it never
+    holds a zero or a coefficient from another field."""
 
     def __init__(self, domain, codomain, field, entries, parity=None):
         self.domain = domain
         self.codomain = codomain
         self.field = field
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
+        self.entries = lincomb(field, entries)
         self.parity = parity
 
     def check_parity_homogeneous(self):
@@ -110,15 +112,11 @@ class SuperLinearMap:
     def compose(self, other: "SuperLinearMap") -> "SuperLinearMap":
         if other.codomain != self.domain:
             raise ValueError("composition mismatch")
-        entries = {}
         by_col = {}
         for (i, j), v in self.entries.items():
             by_col.setdefault(j, []).append((i, v))
-        for (j, k), w in other.entries.items():
-            for i, v in by_col.get(j, []):
-                key = (i, k)
-                cur = entries.get(key)
-                entries[key] = v * w if cur is None else cur + v * w
+        entries = (((i, k), v * w) for (j, k), w in other.entries.items()
+                   for i, v in by_col.get(j, ()))
         parity = None
         if self.parity is not None and other.parity is not None:
             parity = (self.parity + other.parity) % 2

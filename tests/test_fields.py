@@ -14,12 +14,15 @@ from superhopf.fields import (
     QQ,
     QuadraticField,
     Unsupported,
+    lincomb,
     poly_divmod,
 )
 
 from oracles import mod_p_squares, rational_is_square
 
 ALL_FIELDS = [QQ(), GF(5), GF(3), FunctionField(5, "t"), FunctionField(0, "t"), QuadraticField(-1), QuadraticField(2)]
+# Q, F_3, F_5, F_5(t), F_3(t), Q(t), Q(sqrt(-1)), Q(sqrt(2))
+EIGHT_FIELDS = ALL_FIELDS + [FunctionField(3, "t")]
 
 
 def test_characteristic_two_rejected():
@@ -278,3 +281,56 @@ def test_poly_divmod_over_field_elements(field):
         for i, x in enumerate(r):
             prod[i] = prod[i] + x
         assert prod == list(a) + [field.zero()] * (len(prod) - len(a))
+
+
+def _reference_lincomb(field, pairs):
+    """(key, sum) pairs in first-appearance order, zero sums left out."""
+    order, sums = [], {}
+    for key, c in pairs:
+        if key not in sums:
+            order.append(key)
+            sums[key] = field.zero()
+        sums[key] = sums[key] + c
+    return [(key, sums[key]) for key in order if not sums[key].is_zero()]
+
+
+@pytest.mark.parametrize("field", EIGHT_FIELDS, ids=repr)
+def test_lincomb_matches_reference_accumulation(field):
+    rng = random.Random(23)
+    for trial in range(80):
+        pairs = [(rng.randrange(6), field.random(rng)) for _ in range(rng.randint(0, 12))]
+        for key, c in rng.sample(pairs, len(pairs) // 3):
+            pairs.insert(rng.randrange(len(pairs) + 1), (key, -c))  # cancellations
+        got = lincomb(field, pairs)
+        assert list(got.items()) == _reference_lincomb(field, pairs)
+        assert lincomb(field, iter(pairs)) == got
+        assert lincomb(field, dict(pairs)) == dict(_reference_lincomb(field, dict(pairs).items()))
+        assert all(not c.is_zero() and c.field is field for c in got.values())
+
+
+@pytest.mark.parametrize("field", EIGHT_FIELDS, ids=repr)
+def test_lincomb_repeats_cancellation_and_order(field):
+    one, two = field.one(), field.from_int(2)
+    assert lincomb(field, []) == {} and lincomb(field, {}) == {}
+    assert lincomb(field, [("a", one), ("a", one)]) == {"a": two}
+    assert lincomb(field, [("a", one), ("b", two), ("a", -one)]) == {"b": two}
+    assert lincomb(field, [("a", field.zero())]) == {}
+    # a key keeps the place of its first appearance, even after cancelling
+    got = lincomb(field, [("c", one), ("a", one), ("b", one), ("c", -one), ("a", one), ("c", two)])
+    assert list(got.items()) == [("c", two), ("a", two), ("b", one)]
+    terms = {"x": one}
+    out = lincomb(field, terms)
+    assert out == terms and out is not terms
+
+
+def test_lincomb_rejects_coefficients_of_another_field():
+    for field, other in [(QQ(), GF(7)), (GF(5), GF(3)), (QQ(), FunctionField(0, "t")),
+                         (FunctionField(5, "t"), FunctionField(3, "t")),
+                         (QuadraticField(-1), QuadraticField(2))]:
+        with pytest.raises(DescriptorMismatch):
+            lincomb(field, [("a", field.one()), ("b", other.one())])
+        with pytest.raises(DescriptorMismatch):
+            lincomb(field, {"a": other.zero()})
+    for raw in (1, Fraction(1, 2), 0):
+        with pytest.raises(DescriptorMismatch):
+            lincomb(QQ(), [("a", raw)])

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from superhopf.chargroup import GroupDescriptor, LieFunctional
-from superhopf.fields import GF, QQ
+from superhopf.fields import GF, QQ, DescriptorMismatch
 from superhopf.hopfcore import (
     HopfElement,
     MonomialHopfSuperalgebra,
@@ -242,3 +242,83 @@ def test_mul_and_z_square_zero():
     h = alg.char_element(Gm.character([2]))
     hz = h * z
     assert list(hz.terms) == [alg.monomial([2], eps=1)]
+
+
+def _sweep_cases():
+    """The twelve valid (base, g, x) cases of acceptance criterion 01."""
+    cases = []
+    for tag, field in (("Q", Q), ("F5", F5)):
+        for name, base, g, x in [
+            ("Gm_1_y", Gm, Gm.identity(), gm_y(field)),
+            ("Gm_t_0", Gm, Gm.character([1]), LieFunctional.zero(Gm, field)),
+            ("Ga_1_y", Ga, Ga.identity(), LieFunctional(Ga, field, additive=[1])),
+            ("mu3_t_0", mu3, mu3.character([1]), LieFunctional.zero(mu3, field)),
+            ("mu4_t2_0", mu4, mu4.character([2]), LieFunctional.zero(mu4, field)),
+            ("GaGm_1_ab", GaGm, GaGm.identity(),
+             LieFunctional(GaGm, field, free=[2], additive=[3])),
+        ]:
+            cases.append(pytest.param(field, base, g, x, id=f"{name}/{tag}"))
+    return cases
+
+
+def _coalgebra_laws(alg, m):
+    """(coassociative, left counit, right counit) of Delta at the monomial m."""
+    d = alg.delta_monomial(m)
+    elem = HopfElement(alg, {m: alg.field.one()})
+    return (alg.delta_left(d) == alg.delta_right(d), alg.counit_left(d) == elem,
+            alg.counit_right(d) == elem)
+
+
+@pytest.mark.parametrize("field,base,g,x", _sweep_cases())
+def test_delta_monomial_coassociative_and_counital_randomized(field, base, g, x):
+    """Wider character and t-degree bounds than verify_hopf_axioms samples
+    (3 and 3), and each tampered Delta(z) breaks a law at z."""
+    alg = build_algebra(field, base, g, x)
+    rng = random.Random(41)
+    for _ in range(30):
+        m = alg.random_monomial(rng, char_bound=7, t_bound=5)
+        assert _coalgebra_laws(alg, m) == (True, True, True), m
+    one_m, z_m, g_m = alg.monomial(), alg.monomial(eps=1), alg.monomial(g.exps)
+    one = field.one()
+    for override in ({(one_m, z_m): one, (z_m, g_m): field.from_int(3)},
+                     {(one_m, z_m): one},
+                     {(one_m, z_m): one, (z_m, g_m): one, (one_m, one_m): one}):
+        tampered = MonomialHopfSuperalgebra(field, base, g, x, delta_z_override=override)
+        assert not all(_coalgebra_laws(tampered, z_m)), override
+
+
+def test_foreign_coefficients_rejected():
+    alg = build_algebra(Q, Gm, Gm.identity(), gm_y(Q))
+    m = alg.monomial()
+    with pytest.raises(DescriptorMismatch):
+        HopfElement(alg, {m: GF(7).one()})
+    with pytest.raises(DescriptorMismatch):
+        TensorElement(alg, 2, {(m, m): F5.one()})
+    with pytest.raises(DescriptorMismatch):
+        alg.one() + HopfElement(alg, [(m, 1)])
+
+
+def test_no_zero_coefficient_is_stored():
+    def zero_free(*elements):
+        return all(not c.is_zero() for e in elements for c in e.terms.values())
+
+    for field in (Q, F5):
+        alg = build_algebra(field, Gm, Gm.identity(), gm_y(field))
+        rng = random.Random(5)
+        a = alg.element({alg.random_monomial(rng): 2, alg.random_monomial(rng): -1})
+        z = alg.z_element()
+        assert (a - a).terms == {} and a.scale(0).terms == {} and (z * z).terms == {}
+        d = alg.delta(a)
+        assert (d - d).terms == {} and d.scale(0).terms == {}
+        assert zero_free(a, d, alg.antipode(a), alg.delta_left(d), alg.counit_left(d))
+        alg0 = build_algebra(field, mu4, mu4.identity(), LieFunctional.zero(mu4, field))
+        prims = find_primitives(alg0)
+        assert prims and zero_free(*prims)
+        one_m, z_m = alg.monomial(), alg.monomial(eps=1)
+        override = {(one_m, z_m): field.one(), (z_m, one_m): field.one(),
+                    (one_m, one_m): field.zero()}
+        patched = MonomialHopfSuperalgebra(field, Gm, Gm.identity(), gm_y(field),
+                                           delta_z_override=override)
+        assert patched.delta_monomial(z_m) == alg.delta_monomial(z_m)
+        assert zero_free(patched.delta_monomial(z_m))
+        assert verify_hopf_axioms(patched, samples=20, seed=1).passed

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from superhopf.chargroup import GroupDescriptor, LieFunctional
-from superhopf.fields import FunctionField, GF, QQ
+from superhopf.fields import DescriptorMismatch, FunctionField, GF, QQ
 from superhopf.hopfcore import build_algebra, group_algebra
 from superhopf.smoothcheck import (
     InvalidAlpha,
     InvalidPresentation,
     NonTerminatingRewrite,
+    Polynomial,
     PolyRing,
     SuperAlgebraPresentation,
     UndecidableBase,
@@ -36,6 +37,18 @@ def test_polyring_basics():
     assert f == g
     assert f.derivative(0) == ring.parse("2*x")
     assert ring.parse("(x+y)^2") == ring.parse("x^2 + 2*x*y + y^2")
+
+
+def test_polynomial_rejects_foreign_coefficients_and_stores_no_zero():
+    ring = PolyRing(Q, ("x", "y"))
+    with pytest.raises(DescriptorMismatch):
+        Polynomial(ring, {(1, 0): F5.one()})
+    with pytest.raises(DescriptorMismatch):
+        ring.gen(0) * F5.one()
+    f = ring.parse("x^2 - 3*y + 1")
+    assert (f - f).terms == {} and (f * 0).terms == {} and ring.const(0).terms == {}
+    g = PolyRing(F5, ("x",)).parse("x^5 + 2*x")
+    assert g.derivative(0).terms == {(0,): F5.from_int(2)}  # 5*x^4 vanishes mod 5
 
 
 def test_polynomial_rank():

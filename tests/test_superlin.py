@@ -42,6 +42,18 @@ def test_rank_nullity_randomized():
                 assert all(v.is_zero() for v in m.apply(vec))
 
 
+def test_linear_map_rejects_foreign_entries_and_stores_no_zero():
+    Q = QQ()
+    space = SuperVectorSpace.make(["a", "b"], ["c"])
+    with pytest.raises(DescriptorMismatch):
+        SuperLinearMap(space, space, Q, {(0, 0): GF(7).from_int(3)}, EVEN)
+    m = SuperLinearMap(space, space, Q, {(0, 0): Q.one(), (1, 1): Q.zero(), (0, 1): Q.one()}, EVEN)
+    assert list(m.entries) == [(0, 0), (0, 1)]
+    # the (0, 0) entry of m * n is 1*1 + 1*(-1)
+    n = SuperLinearMap(space, space, Q, {(0, 0): Q.one(), (1, 0): -Q.one(), (1, 1): Q.one()}, EVEN)
+    assert m.compose(n).entries == {(0, 1): Q.one()}
+
+
 def test_trivial_examples():
     Q = QQ()
     space = SuperVectorSpace.make(["a", "b", "c"], [])
