@@ -259,6 +259,9 @@ def test_malformed_input_exit_2(tmp_path, capsys):
                                               "T": {"kind": "S", "char": [1]}})
     code, report = run(tmp_path, capsys, ["ext1", "--input", no_char])
     assert code == 2 and report["error"].startswith("KeyError")
+    ggx = write(tmp_path, "ggx.json", MU4_GGX)
+    code, report = run(tmp_path, capsys, ["verify-hopf", "--input", ggx, "--samples", "-7"])
+    assert code == 2 and report["error"].startswith("ValueError")
 
 
 def test_selftest_and_determinism(tmp_path, capsys):

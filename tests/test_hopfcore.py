@@ -3,18 +3,21 @@ import random
 import pytest
 
 from superhopf.chargroup import GroupDescriptor, LieFunctional
-from superhopf.fields import GF, QQ, DescriptorMismatch
+from superhopf.fields import GF, QQ, DescriptorMismatch, QuadraticField
 from superhopf.hopfcore import (
+    AxiomReport,
     HopfElement,
     MonomialHopfSuperalgebra,
     TensorElement,
     WindowRequired,
     build_algebra,
     coradical,
+    format_monomial,
     find_grouplikes,
     find_primitives,
     find_skew_primitives,
     group_algebra,
+    monomial_parity,
     validate_gx,
     verify_hopf_axioms,
 )
@@ -112,11 +115,14 @@ def test_tampered_delta_z_fails_counit_with_witness_z():
     assert any(law.endswith("counit") and witness == "z" for law, witness in report.violations)
 
 
-def test_delta_is_algebra_map_catches_bad_torsion_data():
+def _bad_torsion_algebra():
     # directly constructing with x != 0 and g^2 != 1 breaks coassociativity
-    bad = MonomialHopfSuperalgebra(F5, mu5, mu5.character([1]),
-                                   LieFunctional(mu5, F5, torsion=[1]))
-    report = verify_hopf_axioms(bad, samples=30, seed=4)
+    return MonomialHopfSuperalgebra(F5, mu5, mu5.character([1]),
+                                    LieFunctional(mu5, F5, torsion=[1]))
+
+
+def test_delta_is_algebra_map_catches_bad_torsion_data():
+    report = verify_hopf_axioms(_bad_torsion_algebra(), samples=30, seed=4)
     assert not report.passed
 
 
@@ -278,13 +284,9 @@ def test_delta_monomial_coassociative_and_counital_randomized(field, base, g, x)
     for _ in range(30):
         m = alg.random_monomial(rng, char_bound=7, t_bound=5)
         assert _coalgebra_laws(alg, m) == (True, True, True), m
-    one_m, z_m, g_m = alg.monomial(), alg.monomial(eps=1), alg.monomial(g.exps)
-    one = field.one()
-    for override in ({(one_m, z_m): one, (z_m, g_m): field.from_int(3)},
-                     {(one_m, z_m): one},
-                     {(one_m, z_m): one, (z_m, g_m): one, (one_m, one_m): one}):
-        tampered = MonomialHopfSuperalgebra(field, base, g, x, delta_z_override=override)
-        assert not all(_coalgebra_laws(tampered, z_m)), override
+    z_m = alg.monomial(eps=1)
+    for tampered in _valid_and_tampered(field, base, g, x)[1:]:
+        assert not all(_coalgebra_laws(tampered, z_m)), tampered._delta_z_override
 
 
 def test_foreign_coefficients_rejected():
@@ -322,3 +324,149 @@ def test_no_zero_coefficient_is_stored():
         assert patched.delta_monomial(z_m) == alg.delta_monomial(z_m)
         assert zero_free(patched.delta_monomial(z_m))
         assert verify_hopf_axioms(patched, samples=20, seed=1).passed
+
+
+def _reference_verify_hopf_axioms(alg, samples=100, seed=0, char_bound=3, t_bound=3):
+    """Every law derived afresh at every sample, the antipode convolved
+    through one-term elements: the loop that verify_hopf_axioms runs once per
+    distinct monomial or pair."""
+    rng = random.Random(seed)
+    report = AxiomReport()
+    k = alg.k
+
+    gen_monos = [alg.monomial(c.exps) for c in alg.group.generators()]
+    gen_monos += [alg.monomial(tdeg=[1 if i == j else 0 for i in range(k)]) for j in range(k)]
+    if alg.with_z:
+        gen_monos.append(alg.monomial(eps=1))
+
+    pool = list(gen_monos)
+    while len(pool) < len(gen_monos) + samples:
+        pool.append(alg.random_monomial(rng, char_bound, t_bound))
+
+    def elem(m):
+        return HopfElement(alg, {m: alg.field.one()})
+
+    for m in pool:
+        report.checks_run += 1
+        name = format_monomial(m, k)
+        d = alg.delta_monomial(m)
+        if alg.delta_left(d) != alg.delta_right(d):
+            report.violations.append(("coassociativity", name))
+        if alg.counit_left(d) != elem(m):
+            report.violations.append(("left counit", name))
+        if alg.counit_right(d) != elem(m):
+            report.violations.append(("right counit", name))
+        target = alg.one().scale(alg.counit_monomial(m))
+        if _convolve_by_hand(alg, d, "left") != target:
+            report.violations.append(("antipode (left)", name))
+        if _convolve_by_hand(alg, d, "right") != target:
+            report.violations.append(("antipode (right)", name))
+
+    for _ in range(max(1, samples // 2)):
+        report.checks_run += 1
+        a = pool[rng.randrange(len(pool))]
+        b = pool[rng.randrange(len(pool))]
+        ea, eb = elem(a), elem(b)
+        prod = alg.mul(ea, eb)
+        witness = f"{format_monomial(a, k)} , {format_monomial(b, k)}"
+        if alg.delta(prod) != alg.delta(ea) * alg.delta(eb):
+            report.violations.append(("Delta is an algebra map", witness))
+        if alg.counit(prod) != alg.counit(ea) * alg.counit(eb):
+            report.violations.append(("counit is an algebra map", witness))
+        sign = -1 if (monomial_parity(a) and monomial_parity(b)) else 1
+        if prod != alg.mul(eb, ea).scale(sign):
+            report.violations.append(("super-commutativity", witness))
+    return report
+
+
+def _convolve_by_hand(alg, t, side):
+    """m(S(x)id) or m(id(x)S) of a 2-tensor through the public mul and antipode."""
+    one = alg.field.one()
+    out = HopfElement(alg, {})
+    for (u, v), c in t.terms.items():
+        eu, ev = HopfElement(alg, {u: one}), HopfElement(alg, {v: one})
+        if side == "left":
+            out = out + alg.mul(alg.antipode(eu), ev).scale(c)
+        else:
+            out = out + alg.mul(eu, alg.antipode(ev)).scale(c)
+    return out
+
+
+def _tampered_overrides(alg):
+    """Delta(z) with the z(x)g term rescaled, dropped, or joined by 1(x)1."""
+    field = alg.field
+    one_m, z_m, g_m = alg.monomial(), alg.monomial(eps=1), alg.monomial(alg.g.exps)
+    one = field.one()
+    return [{(one_m, z_m): one, (z_m, g_m): field.from_int(3)},
+            {(one_m, z_m): one},
+            {(one_m, z_m): one, (z_m, g_m): one, (one_m, one_m): one}]
+
+
+def _valid_and_tampered(field, base, g, x):
+    alg = build_algebra(field, base, g, x)
+    return [alg] + [MonomialHopfSuperalgebra(field, base, g, x, delta_z_override=override)
+                    for override in _tampered_overrides(alg)]
+
+
+def _same_report(make, samples, seed):
+    """The report of verify_hopf_axioms equals the reference, each run on a
+    fresh algebra from `make()` so that neither reads caches the other filled."""
+    got = verify_hopf_axioms(make(), samples=samples, seed=seed).to_json()
+    assert got == _reference_verify_hopf_axioms(make(), samples=samples, seed=seed).to_json()
+    return got
+
+
+@pytest.mark.parametrize("field,base,g,x", _sweep_cases())
+def test_verify_matches_reference_on_valid_and_tampered(field, base, g, x):
+    for i in range(4):
+        report = _same_report(lambda: _valid_and_tampered(field, base, g, x)[i], 37, 11 + i)
+        assert report["passed"] == (i == 0)
+
+
+def test_verify_matches_reference_across_samples_and_seeds():
+    mu3_x = LieFunctional.zero(mu3, F5)
+    gaGm_x = LieFunctional(GaGm, F5, free=[2], additive=[3])
+    algebras = [
+        lambda: _valid_and_tampered(F5, GaGm, GaGm.identity(), gaGm_x)[0],
+        lambda: _valid_and_tampered(F5, mu3, mu3.character([1]), mu3_x)[3],
+        _bad_torsion_algebra,
+    ]
+    violations = 0
+    for make in algebras:
+        alg = make()
+        generators = len(alg.group.generators()) + alg.k + 1
+        for samples in (0, 1, 37, 200):
+            for seed in (0, 1, 2):
+                report = _same_report(make, samples, seed)
+                assert report["checks_run"] == generators + samples + max(1, samples // 2)
+                violations += len(report["violations"])
+    assert violations > 0
+
+
+def test_verify_matches_reference_on_bad_torsion_data():
+    report = _same_report(_bad_torsion_algebra, 30, 4)
+    assert not report["passed"]
+
+
+@pytest.mark.parametrize("field", [Q, F5, QuadraticField(-1)], ids=str)
+def test_convolve_antipode_matches_mul_and_antipode(field):
+    rng = random.Random(17)
+    base, x = GaGm, LieFunctional(GaGm, field, free=[2], additive=[1])
+    algebras = _valid_and_tampered(field, base, base.identity(), x)
+    vanished = 0
+    for alg in algebras:
+        z_m = alg.monomial(eps=1)
+        tensors = [alg.delta_monomial(alg.random_monomial(rng)) for _ in range(6)]
+        tensors.append(alg.delta_monomial(z_m))
+        for _ in range(6):
+            terms = {(alg.random_monomial(rng), alg.random_monomial(rng)): field.random(rng)
+                     for _ in range(5)}
+            odd = [alg.monomial(m[0], m[1], eps=1)
+                   for m in (alg.random_monomial(rng), alg.random_monomial(rng))]
+            terms[tuple(odd)] = field.one()
+            tensors.append(TensorElement(alg, 2, terms))
+        for t in tensors:
+            vanished += sum(1 for u, v in t.terms if u[2] and v[2])
+            for side in ("left", "right"):
+                assert alg.convolve_antipode(t, side) == _convolve_by_hand(alg, t, side)
+    assert vanished > 0
