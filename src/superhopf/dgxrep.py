@@ -6,9 +6,20 @@ algebra, so any finite-dimensional comodule touches only finitely many
 characters and no window bookkeeping is needed. Standard objects are the
 two-dimensional L(h) (basis vectors mapping to h and hz) and the lines S(h)
 for characters h annihilated by the functional, together with their parity
-shifts. Decomposition peels injective summands off the socle; the socle is
-cut out by the coradical: a vector is in the socle iff its coaction has no
-hz-component with h annihilated.
+shifts.
+
+Decomposition first splits a comodule into its coset blocks. For a coset c
+of <g> in X let A_c be the span of {h, hz : h in c}; since
+Delta(h) = h(x)h + <x,h> hz(x)ghz and Delta(hz) = h(x)hz + hz(x)gh both lie
+in A_c(x)A_c, A is the direct sum of the subcoalgebras A_c, so every
+supercomodule is canonically M = sum_c M_c, cut out by the even idempotent
+comodule maps e_c = (id (x) eps|A_c) rho (Montgomery, Hopf Algebras and Their
+Actions on Rings, CBMS 82, 1993). Each block is validated on its own and then
+peeled (a comodule that meets one coset is its own block and is peeled as it
+stands): injective summands come off its socle, which is cut out by the
+coradical (a vector is in the socle iff its coaction has no hz-component with
+h annihilated). An input that fails anywhere is checked whole, and the error
+names the failures `Supercomodule.validate` finds on it.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
+from .chargroup import QuotientGroup
 from .fields import Field, lincomb
 from .hopfcore import MonomialHopfSuperalgebra
 from . import superlin
@@ -93,10 +105,7 @@ class Supercomodule:
 
     def characters_used(self):
         group = self.algebra.group
-        seen = {group.identity().exps}
-        for row in self.coaction:
-            for _, _, chars, _ in row:
-                seen.add(chars)
+        seen = {chars for row in self.coaction for _, _, chars, _ in row}
         return [group.character(e) for e in sorted(seen)]
 
     def coact_vector(self, vec):
@@ -400,54 +409,116 @@ def _find_l_copy(m: Supercomodule, h, parity):
     return None
 
 
+def coset_projectors(m: Supercomodule):
+    """The projectors e_c = (id (x) eps|A_c) rho onto the coset blocks of m,
+    as {coset: {(i, j): coefficient of m_j in e_c(m_i)}}, in coset order. The
+    coset of <g> in X is keyed by the exponents of its image in X/<g>; e_c
+    collects the coaction entries without z whose character lies in c."""
+    alg = m.algebra
+    quotient = QuotientGroup(alg.group, [alg.g])
+    coset, entries = {}, {}
+    for i, row in enumerate(m.coaction):
+        for j, c, chars, eps in row:
+            if eps == 0:
+                if chars not in coset:
+                    coset[chars] = quotient.project(alg.group.character(chars)).exps
+                entries.setdefault(coset[chars], []).append(((i, j), c))
+    return {key: lincomb(m.field, terms) for key, terms in sorted(entries.items())}
+
+
+def _coset_blocks(m: Supercomodule):
+    """(block, basis) for each coset block M_c = e_c(M), validated: the block
+    comodule and its basis in m's coordinates, one elimination per parity on
+    the rows e_c(m_i). When the coaction meets a single coset, m is its own
+    block and keeps its coordinates."""
+    field, n = m.field, m.dim
+    projectors = coset_projectors(m)
+    if len(projectors) == 1:
+        identity = [[field.one() if i == j else field.zero() for j in range(n)]
+                    for i in range(n)]
+        out = [(m, identity)]
+    else:
+        out = [restrict(m, _block_vectors(m, proj)) for proj in projectors.values()]
+    for block, _ in out:
+        if block.validate():
+            raise DecompositionError("coset block is not a comodule")
+    return out
+
+
+def _block_vectors(m: Supercomodule, proj):
+    """A homogeneous basis of the span of the rows e_c(m_i), as (parity,
+    vector) pairs, one elimination per parity."""
+    zero = m.field.zero()
+    rows = {}
+    for (i, j), c in proj.items():
+        rows.setdefault(i, [zero] * m.dim)[j] = c
+    vectors = []
+    for parity in (EVEN, ODD):
+        reduced, pivots = superlin.row_reduce(
+            [row for i, row in sorted(rows.items()) if m.parities[i] == parity], m.field)
+        vectors.extend((parity, reduced[r]) for r in range(len(pivots)))
+    return vectors
+
+
+def _to_ambient(vectors, ambient, field):
+    """Vectors given in the coordinates of the basis `ambient`, rewritten in
+    the coordinates of the space that holds that basis."""
+    out = []
+    for v in vectors:
+        terms = [(c, ambient[i]) for i, c in enumerate(v) if c]
+        out.append([sum((c * row[t] for c, row in terms), start=field.zero())
+                    for t in range(len(ambient[0]))])
+    return out
+
+
 def decompose(m: Supercomodule) -> DecompositionResult:
     """Label multiset plus an explicit even isomorphism from the direct sum
-    of standard objects onto m. Peels socle constituents in lexicographic
-    order; every peeled block is split off through an exactly solved
-    retraction, and the assembled isomorphism is verified at the end."""
-    failures = m.validate()
-    if failures:
-        raise DecompositionError(f"not a comodule: {failures[:3]}")
+    of standard objects onto m.
+
+    m is split into its coset blocks M_c first (see the module docstring),
+    since every summand lies in one of them; each block is validated and
+    peeled on its own, while the split and the final verification still work
+    on the whole of m. An m whose coaction meets one coset is its own block
+    and is peeled as it stands, in its own coordinates.
+
+    Within a block, socle constituents are peeled in lexicographic order and
+    every peeled summand is split off through an exactly solved retraction.
+    Labels and the columns of the isomorphism come out block by block. The
+    assembled isomorphism is verified on the whole of m, so no invalid input
+    is reported as decomposed; when any step fails, m is validated whole and
+    a failure it finds is reported as "not a comodule" with the first three
+    `m.validate()` witnesses."""
     alg = m.algebra
     field = m.field
     labels = []
     blocks = []
+    try:
+        for current, ambient in _coset_blocks(m):
+            # ambient: the basis of `current` in m's coordinates
+            while current.dim > 0:
+                label, _, embedding, retraction = _peel_one(current)
+                labels.append(canonical_label(alg, label))
+                blocks.append((label, _to_ambient(embedding, ambient, field)))
+                # complement = kernel of retraction, taken parity-homogeneously
+                system = {t: dict(enumerate(row)) for t, row in enumerate(retraction)}
+                complement = superlin.kernel_by_parity(system, current.parities, field)
+                current, basis = restrict(current, complement)
+                ambient = _to_ambient(basis, ambient, field)
 
-    # working copy in ambient coordinates: current subcomodule basis
-    current = m
-    # embedding of current into the original m
-    ambient = [[field.one() if i == j else field.zero() for j in range(m.dim)]
-               for i in range(m.dim)]
-
-    def to_ambient(vectors):
-        # vectors in `current` coordinates, skipping their zero coordinates
-        out = []
-        for v in vectors:
-            terms = [(c, ambient[i]) for i, c in enumerate(v) if c]
-            out.append([sum((c * row[t] for c, row in terms), start=field.zero())
-                        for t in range(m.dim)])
-        return out
-
-    while current.dim > 0:
-        label, _, embedding, retraction = _peel_one(current)
-        labels.append(canonical_label(alg, label))
-        # embedding/retraction are in `current` coordinates; push to ambient
-        blocks.append((label, to_ambient(embedding)))
-        # complement = kernel of retraction, taken parity-homogeneously
-        system = {t: dict(enumerate(row)) for t, row in enumerate(retraction)}
-        complement = superlin.kernel_by_parity(system, current.parities, field)
-        current, basis = restrict(current, complement)
-        ambient = to_ambient(basis)
-
-    # assemble and verify the isomorphism
-    total = sum(label_dim(l) for l in labels)
-    if total != m.dim:
-        raise DecompositionError("dimension mismatch in decomposition")
-    iso_cols = []
-    for label, rows in blocks:
-        iso_cols.extend(rows)
-    iso = [[iso_cols[c][r] for c in range(total)] for r in range(m.dim)]
-    _verify_decomposition(m, labels, blocks, iso)
+        # assemble and verify the isomorphism
+        total = sum(label_dim(l) for l in labels)
+        if total != m.dim:
+            raise DecompositionError("dimension mismatch in decomposition")
+        iso_cols = []
+        for label, rows in blocks:
+            iso_cols.extend(rows)
+        iso = [[iso_cols[c][r] for c in range(total)] for r in range(m.dim)]
+        _verify_decomposition(m, labels, blocks, iso)
+    except DecompositionError:
+        failures = m.validate()
+        if failures:
+            raise DecompositionError(f"not a comodule: {failures[:3]}") from None
+        raise
     return DecompositionResult(labels, blocks, iso)
 
 

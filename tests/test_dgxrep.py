@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from superhopf import superlin
+from superhopf import dgxrep, superlin
 from superhopf.chargroup import GroupDescriptor, LieFunctional
 from superhopf.dgxrep import (
     DecompositionError,
@@ -11,6 +11,7 @@ from superhopf.dgxrep import (
     Supercomodule,
     canonical_label,
     comodule_homs,
+    coset_projectors,
     decompose,
     dual_pairing,
     dual_pairing_tampered,
@@ -22,7 +23,7 @@ from superhopf.dgxrep import (
     standard_object,
     tensor_comodule,
 )
-from superhopf.fields import GF, QQ, QuadraticField
+from superhopf.fields import GF, QQ, FunctionField, QuadraticField
 from superhopf.hopfcore import build_algebra
 
 from oracles import comodule_label_multiset_bruteforce, ext1_bruteforce
@@ -277,17 +278,231 @@ def test_restrict_matches_per_monomial_solves():
     assert empty.dim == 0 and basis == []
 
 
+def _standard_sum(alg, labels):
+    m = None
+    for lab in labels:
+        so = standard_object(alg, lab)
+        m = so if m is None else m.direct_sum(so)
+    return m
+
+
+def _compose(f, g):
+    """The matrix of f after g (matrices act on columns)."""
+    zero = f[0][0].field.zero()
+    return [[sum((f[t][k] * g[k][i] for k in range(len(g))), start=zero)
+             for i in range(len(g[0]))] for t in range(len(f))]
+
+
+def _is_invertible(mat):
+    """Square matrix of full rank, by a forward elimination kept here so that
+    the check does not rest on superlin."""
+    rows = [row[:] for row in mat]
+    n = len(rows)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
+        if pr is None:
+            return False
+        rows[c], rows[pr] = rows[pr], rows[c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return True
+
+
+def _multi_block_cases():
+    """(algebra, labels, entry) for direct sums that meet several cosets of
+    <g>, over F_5, Q(sqrt(-1)) and F_5(t), with x = 0 and x != 0."""
+    Qi = QuadraticField(-1)
+    i_unit = Qi.generator()
+    F5t = FunctionField(5)
+    t = F5t.generator()
+    qi_entry = lambda r: Qi.from_int(r.randint(-2, 2)) + i_unit * r.randint(-2, 2)
+    f5t_entry = lambda r: F5t.from_int(r.randrange(5)) + t * r.randrange(5)
+
+    def L(c, shifted=False):
+        return IndecompLabel("L", (c,), shifted)
+
+    def S(c, shifted=False):
+        return IndecompLabel("S", (c,), shifted)
+
+    return [
+        (algebra_mu4(g_exp=0), [L(1), S(2, True), L(3, True), S(0)], None),
+        (algebra_mu4(g_exp=2), [L(1), S(2, True), L(0, True), S(3)], None),
+        (algebra_mu4(g_exp=2, field=Qi), [L(3), S(0), L(2, True)], qi_entry),
+        (algebra_mu4(g_exp=0, field=F5t), [L(2, True), S(1), S(3, True)], f5t_entry),
+        (algebra_mu5(), [L(1), S(0, True), L(3, True), L(4)], None),
+    ]
+
+
 def test_decompose_iso_is_verified_morphism():
+    """On multi-block inputs the isomorphism is even, invertible and a comodule
+    map from the sum of the standard objects of res.blocks onto the input,
+    all checked here, not by the library's own verification."""
     rng = random.Random(55)
-    alg = algebra_mu5()
-    m = standard_object(alg, IndecompLabel("L", (1,), False)).direct_sum(
-        standard_object(alg, IndecompLabel("S", (0,), True))
-    )
-    ms = scramble(m, rng)
-    res = decompose(ms)
-    assert len(res.iso_matrix) == ms.dim
-    dims = sum(2 if l.kind == "L" else 1 for l in res.labels)
-    assert dims == ms.dim
+    for alg, labels, entry in _multi_block_cases():
+        ms = scramble(_standard_sum(alg, labels), rng, entry)
+        res = decompose(ms)
+        assert len(res.blocks) == len(res.labels) == len(labels)
+        parities, rows = [], []
+        for k, (label, _) in enumerate(res.blocks):
+            assert canonical_label(alg, label) == res.labels[k]
+            so = standard_object(alg, label)
+            shift = len(parities)
+            parities.extend(so.parities)
+            rows.extend([(j + shift, c, ch, e) for j, c, ch, e in row] for row in so.coaction)
+        total = Supercomodule(alg, parities, rows)
+        iso = res.iso_matrix
+        assert len(iso) == ms.dim and all(len(row) == total.dim == ms.dim for row in iso)
+        assert all(iso[r][c].is_zero() for r in range(ms.dim) for c in range(total.dim)
+                   if ms.parities[r] != total.parities[c])
+        assert _is_invertible(iso)
+        assert _is_morphism(iso, total, ms)
+        assert res.label_multiset() == sorted(str(canonical_label(alg, l)) for l in labels)
+
+
+def test_coset_projectors_are_orthogonal_idempotent_morphisms():
+    rng = random.Random(7)
+    zmu3 = GroupDescriptor(1, (3,))
+    F3 = GF(3)
+    cases = list(_multi_block_cases())
+    # g of infinite order (x = 0 then, since x != 0 needs g^2 = 1): the
+    # cosets of <g> are infinite
+    cases.append((build_algebra(Q, zmu3, zmu3.character([1, 0]), LieFunctional.zero(zmu3, Q)),
+                  [IndecompLabel("L", (-1, 2), False), IndecompLabel("S", (3, 2), True),
+                   IndecompLabel("L", (0, 1), True), IndecompLabel("S", (2, 0), False)],
+                  lambda r: Q.from_int(r.randint(-3, 3))))
+    cases.append((build_algebra(F3, zmu3, zmu3.character([1, 1]), LieFunctional.zero(zmu3, F3)),
+                  [IndecompLabel("L", (2, 1), False), IndecompLabel("S", (-1, 0), True),
+                   IndecompLabel("L", (0, 2), True)], None))
+    for alg, labels, entry in cases:
+        m = scramble(_standard_sum(alg, labels), rng, entry)
+        field, n = m.field, m.dim
+        projectors = []
+        for proj in coset_projectors(m).values():
+            f = [[proj.get((i, t), field.zero()) for i in range(n)] for t in range(n)]
+            assert all(f[t][i].is_zero() for t in range(n) for i in range(n)
+                       if m.parities[t] != m.parities[i])
+            assert _is_morphism(f, m, m)
+            projectors.append(f)
+        assert len(projectors) >= 2
+        for a, f in enumerate(projectors):
+            for b, e in enumerate(projectors):
+                product = _compose(f, e)
+                assert product == (f if a == b else [[field.zero()] * n for _ in range(n)])
+        total = [[sum((f[t][i] for f in projectors), start=field.zero()) for i in range(n)]
+                 for t in range(n)]
+        assert total == [[field.one() if t == i else field.zero() for i in range(n)]
+                         for t in range(n)]
+
+
+def _perturbed(m, kind, rng):
+    """m with one coefficient changed, one entry dropped or one entry added."""
+    field = m.field
+    rows = [list(row) for row in m.coaction]
+    i = rng.choice([r for r in range(m.dim) if rows[r]])
+    k = rng.randrange(len(rows[i]))
+    if kind == "changed":
+        j, c, chars, eps = rows[i][k]
+        rows[i][k] = (j, c + field.from_int(rng.randrange(1, 5)), chars, eps)
+    elif kind == "dropped":
+        del rows[i][k]
+    else:
+        chars = rng.choice([e for row in rows for _, _, e, _ in row])
+        rows[i].append((rng.randrange(m.dim), field.from_int(rng.randrange(1, 5)),
+                        chars, rng.randrange(2)))
+    return Supercomodule(m.algebra, m.parities, rows)
+
+
+def test_decompose_invalid_input_reports_validate_witnesses():
+    rng = random.Random(13)
+    # the F_5 cases: mu4 with g = 1 and g = chi^2, mu5 with x != 0
+    bases = [scramble(_standard_sum(alg, labels), rng) for alg, labels, entry in
+             _multi_block_cases() if entry is None]
+    assert len(bases) == 3
+    for m in bases:
+        for kind in ("changed", "dropped", "added"):
+            checked = 0
+            while checked < 4:
+                bad = _perturbed(m, kind, rng)
+                failures = bad.validate()
+                if not failures:
+                    continue
+                with pytest.raises(DecompositionError) as info:
+                    decompose(bad)
+                assert str(info.value) == f"not a comodule: {failures[:3]}"
+                checked += 1
+    # S(1) + S(2) in the basis a = u1 + u2 (even), b = u2 (odd): counit and
+    # coassociativity hold, only the parity of the coaction fails
+    alg = algebra_mu4(g_exp=0)
+    one = F5.one()
+    bad = Supercomodule(alg, (0, 1), [[(0, one, (1,), 0), (1, -one, (1,), 0), (1, one, (2,), 0)],
+                                      [(1, one, (2,), 0)]])
+    failures = bad.validate()
+    assert failures and {law for law, _ in failures} == {"coaction parity"}
+    with pytest.raises(DecompositionError) as info:
+        decompose(bad)
+    assert str(info.value) == f"not a comodule: {failures[:3]}"
+
+
+def test_decompose_reraises_step_failure_on_valid_input(monkeypatch):
+    """A step that fails on a valid input surfaces as itself: the whole input
+    validates, so nothing is reported as "not a comodule" and no result is
+    returned."""
+    alg, labels, _ = _multi_block_cases()[0]
+    m = scramble(_standard_sum(alg, labels), random.Random(3))
+    blocks = len(coset_projectors(m))
+    real_restrict = dgxrep.restrict
+    # call 1 builds the first coset block; call blocks + 1 follows the first peel
+    for fail_at in (1, blocks, blocks + 1):
+        error = DecompositionError(f"injected at restrict call {fail_at}")
+        calls = []
+
+        def failing(*args, fail_at=fail_at, error=error, calls=calls):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise error
+            return real_restrict(*args)
+
+        monkeypatch.setattr(dgxrep, "restrict", failing)
+        with pytest.raises(DecompositionError) as info:
+            decompose(m)
+        assert info.value is error
+    monkeypatch.setattr(dgxrep, "restrict", real_restrict)
+    error = DecompositionError("injected at the final verification")
+
+    def failing_verify(*args):
+        raise error
+
+    monkeypatch.setattr(dgxrep, "_verify_decomposition", failing_verify)
+    with pytest.raises(DecompositionError) as info:
+        decompose(m)
+    assert info.value is error
+
+
+def test_decompose_single_block_input_is_peeled_as_it_stands(monkeypatch):
+    """With g = chi, <g> is all of mu4, so every comodule is one block: it is
+    peeled in its own coordinates, with no split, one restrict per peeled
+    summand, and an invalid one is still reported by its validate witnesses."""
+    rng = random.Random(21)
+    alg = algebra_mu4(g_exp=1)
+    labels = [IndecompLabel("L", (0,), False), IndecompLabel("S", (1,), True),
+              IndecompLabel("L", (2,), True), IndecompLabel("S", (3,), False)]
+    m = scramble(_standard_sum(alg, labels), rng)
+    assert len(coset_projectors(m)) == 1
+    [(block, _)] = dgxrep._coset_blocks(m)
+    assert block is m
+    real_restrict, calls = dgxrep.restrict, []
+    monkeypatch.setattr(dgxrep, "restrict", lambda *args: calls.append(1) or real_restrict(*args))
+    res = decompose(m)
+    assert len(calls) == len(labels)
+    assert res.label_multiset() == sorted(str(canonical_label(alg, l)) for l in labels)
+    for kind in ("changed", "dropped", "added"):
+        bad = _perturbed(m, kind, rng)
+        while not bad.validate():
+            bad = _perturbed(m, kind, rng)
+        with pytest.raises(DecompositionError) as info:
+            decompose(bad)
+        assert str(info.value) == f"not a comodule: {bad.validate()[:3]}"
 
 
 def test_label_isomorphism_identification():
