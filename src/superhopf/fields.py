@@ -8,13 +8,15 @@ FunctionField and QuadraticField, and Field.from_json, intern descriptors:
 equal fields are the same object, so an element operation checks its
 operands' field with `is` and delegates to it. Every value is kept in a
 unique canonical form, so equality is a plain representation check.
-Characteristic 2 is rejected at descriptor construction.
+Characteristic 2 is rejected at descriptor construction. `lincomb` merges
+sparse coefficients, and `Sparse` is the base of every sparse element type.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from . import _expr
 
@@ -724,3 +726,38 @@ def lincomb(field: Field, terms) -> dict:
         if is_zero(c._v):
             return {key: c for key, c in out.items() if not is_zero(c._v)}
     return out
+
+
+class Sparse:
+    """A sparse K-linear combination {key: coefficient} over `field`.
+
+    `terms` (a dict or an iterable of (key, coefficient) pairs) is merged by
+    `lincomb`, so `self.terms` never holds a zero or a coefficient from
+    another field. A subclass adds its own attributes and product and
+    defines `_like(terms)`, which builds a value of its own kind from terms.
+    """
+
+    __slots__ = ("field", "terms")
+
+    def __init__(self, field, terms):
+        self.field = field
+        self.terms = lincomb(field, terms)
+
+    def __add__(self, other):
+        return self._like(chain(self.terms.items(), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like((k, -c) for k, c in self.terms.items())
+
+    def scale(self, c):
+        c = self.field.parse(c)
+        return self._like((k, c * v) for k, v in self.terms.items())
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def is_zero(self):
+        return not self.terms

@@ -18,11 +18,10 @@ rather than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import comb
 
 from . import _expr
-from .fields import Field, FieldElement, FunctionField, lincomb, poly_divmod
+from .fields import Field, FieldElement, FunctionField, Sparse, lincomb, poly_divmod
 
 
 class NonTerminatingRewrite(Exception):
@@ -81,35 +80,21 @@ class PolyRing:
         return _expr.evaluate(str(src), self.const, atoms)
 
 
-class Polynomial:
-    """Sparse polynomial {exponent tuple: coefficient}; `terms` is merged by
-    `fields.lincomb`, so `self.terms` never holds a zero or a coefficient
-    from another field."""
+class Polynomial(Sparse):
+    """Sparse polynomial {exponent tuple: coefficient} (see `fields.Sparse`)."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring",)
 
     def __init__(self, ring, terms):
         self.ring = ring
-        self.terms = lincomb(ring.field, terms)
+        super().__init__(ring.field, terms)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        other = self.ring.parse(other) if not isinstance(other, Polynomial) else other
-        return Polynomial(self.ring, chain(self.terms.items(), other.terms.items()))
-
-    def __neg__(self):
-        return Polynomial(self.ring, ((e, -c) for e, c in self.terms.items()))
-
-    def __sub__(self, other):
-        other = self.ring.parse(other) if not isinstance(other, Polynomial) else other
-        return self + (-other)
+    def _like(self, terms):
+        return Polynomial(self.ring, terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
-            c = self.ring.field.parse(other)
-            return Polynomial(self.ring, ((e, c * v) for e, v in self.terms.items()))
+            return self.scale(other)
         return Polynomial(self.ring, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
                                       for e1, c1 in self.terms.items()
                                       for e2, c2 in other.terms.items()))
@@ -125,9 +110,6 @@ class Polynomial:
         for _ in range(n):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.terms == other.terms
 
     def derivative(self, i):
         return Polynomial(self.ring, ((e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
@@ -342,36 +324,20 @@ class SuperAlgebraPresentation:
         return len(sym[1]) % 2 if sym[0] == "z" else 0
 
 
-class SuperElement:
-    """Sparse {(exponents, symbol): coefficient}; `terms` is merged by
-    `fields.lincomb` (no zero, no foreign coefficient), then brought to
-    normal form by the rewriting rules unless `reduce` is false."""
+class SuperElement(Sparse):
+    """Sparse {(exponents, symbol): coefficient} (see `fields.Sparse`),
+    brought to normal form by the rewriting rules unless `reduce` is false."""
 
-    __slots__ = ("pres", "terms")
+    __slots__ = ("pres",)
 
     def __init__(self, pres, terms, reduce=True):
         self.pres = pres
-        terms = lincomb(pres.field, terms)
+        super().__init__(pres.field, terms)
         if reduce:
-            terms = _reduce_terms(pres, terms)
-        self.terms = terms
+            self.terms = _reduce_terms(pres, self.terms)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        return SuperElement(self.pres, chain(self.terms.items(), other.terms.items()),
-                            reduce=False)
-
-    def __neg__(self):
-        return SuperElement(self.pres, ((k, -c) for k, c in self.terms.items()), reduce=False)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = self.pres.field.parse(c)
-        return SuperElement(self.pres, ((k, c * v) for k, v in self.terms.items()), reduce=False)
+    def _like(self, terms):
+        return SuperElement(self.pres, terms, reduce=False)
 
     def __mul__(self, other):
         return SuperElement(self.pres, self._products(other))
@@ -394,9 +360,6 @@ class SuperElement:
         for _ in range(n):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, SuperElement) and self.terms == other.terms
 
     def __str__(self):
         if not self.terms:
@@ -444,7 +407,7 @@ def _reduce_terms(pres, terms):
     """Apply the even rewriting rules until every term is in normal form."""
     rels = {r.var: r for r in pres.relations}
     work = dict(terms)
-    out = {}
+    out = []
     guard = 0
     while work:
         guard += 1
@@ -459,12 +422,7 @@ def _reduce_terms(pres, terms):
                 hit = rel
                 break
         if hit is None:
-            cur = out.get((exps, sym))
-            val = coeff if cur is None else cur + coeff
-            if val.is_zero():
-                out.pop((exps, sym), None)
-            else:
-                out[(exps, sym)] = val
+            out.append(((exps, sym), coeff))
             continue
         rest = list(exps)
         rest[var] -= hit.degree
@@ -481,7 +439,7 @@ def _reduce_terms(pres, terms):
                 val = base * c3
                 cur = work.get(key)
                 work[key] = val if cur is None else cur + val
-    return out
+    return lincomb(pres.field, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import copy
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -17,6 +18,9 @@ from superhopf.fields import (
     lincomb,
     poly_divmod,
 )
+from superhopf.chargroup import GroupDescriptor, LieFunctional
+from superhopf.hopfcore import HopfElement, TensorElement, build_algebra
+from superhopf.smoothcheck import Polynomial, PolyRing, SuperAlgebraPresentation, SuperElement
 
 from oracles import mod_p_squares, rational_is_square
 
@@ -334,3 +338,72 @@ def test_lincomb_rejects_coefficients_of_another_field():
     for raw in (1, Fraction(1, 2), 0):
         with pytest.raises(DescriptorMismatch):
             lincomb(QQ(), [("a", raw)])
+
+
+SPARSE_KINDS = (HopfElement, TensorElement, Polynomial, SuperElement)
+
+
+def _sparse_kind(kind, field):
+    """(make, keys): a constructor of `kind` elements over `field` from
+    (key, coefficient) pairs, and four distinct keys of that kind."""
+    gm = GroupDescriptor(1, ())
+    if kind in (HopfElement, TensorElement):
+        alg = build_algebra(field, gm, gm.identity(), LieFunctional(gm, field, free=[1]))
+        monos = [alg.monomial(), alg.monomial([1]), alg.monomial([-1], eps=1),
+                 alg.monomial(eps=1)]
+        if kind is HopfElement:
+            return (lambda terms: HopfElement(alg, terms)), monos
+        return (lambda terms: TensorElement(alg, 2, terms)), list(zip(monos, monos[1:] + monos[:1]))
+    if kind is Polynomial:
+        ring = PolyRing(field, ("x", "y"))
+        return (lambda terms: Polynomial(ring, terms)), [(0, 0), (1, 0), (0, 2), (1, 1)]
+    pres = SuperAlgebraPresentation(field, ("u",), [], ("z",))
+    u, z = pres.var_elem(0), pres.odd_elem(0)
+    keys = [k for e in (pres.one_elem(), u, z, u * z) for k in e.terms]
+    return (lambda terms: SuperElement(pres, terms, reduce=False)), keys
+
+
+def _listed(element):
+    return list(element.terms.items())
+
+
+@pytest.mark.parametrize("kind", SPARSE_KINDS, ids=lambda k: k.__name__)
+@pytest.mark.parametrize("field", [QQ(), GF(5), FunctionField(5, "t")], ids=repr)
+def test_sparse_operations_match_lincomb(kind, field):
+    """The six operations `fields.Sparse` gives every sparse element type,
+    checked on each type against `lincomb` on plain (key, coefficient) lists."""
+    make, keys = _sparse_kind(kind, field)
+    rng = random.Random(31)
+    for _ in range(40):
+        pa = [(rng.choice(keys), field.random(rng)) for _ in range(rng.randint(0, 6))]
+        pb = [(rng.choice(keys), field.random(rng)) for _ in range(rng.randint(0, 6))]
+        pb += [(key, -c) for key, c in rng.sample(pa, len(pa) // 2)]  # cancellations
+        a, b = make(pa), make(pb)
+        da, db = lincomb(field, pa), lincomb(field, pb)
+        assert _listed(a) == list(da.items()) and _listed(b) == list(db.items())
+        c = field.random(rng)
+        expected = {
+            "add": (a + b, chain(da.items(), db.items())),
+            "sub": (a - b, chain(da.items(), ((key, -v) for key, v in db.items()))),
+            "neg": (-a, ((key, -v) for key, v in da.items())),
+            "scale": (a.scale(c), ((key, c * v) for key, v in da.items())),
+            "scale int": (a.scale(3), ((key, v * 3) for key, v in da.items())),
+        }
+        for name, (got, pairs) in expected.items():
+            assert type(got) is kind, name
+            assert _listed(got) == list(lincomb(field, pairs).items()), name
+        assert (a == b) == (da == db) and a == make(list(da.items()))
+        assert a.is_zero() == (not da)
+        zero = make([])
+        assert zero.is_zero() and zero.terms == {}
+        for cancelled in (a - a, a + (-a), a.scale(0), b.scale(field.zero())):
+            assert type(cancelled) is kind and cancelled.is_zero() and cancelled == zero
+
+
+@pytest.mark.parametrize("field", [QQ(), GF(5)], ids=repr)
+def test_sparse_zeros_of_different_kinds_differ(field):
+    zeros = [_sparse_kind(kind, field)[0]([]) for kind in SPARSE_KINDS]
+    for i, a in enumerate(zeros):
+        for j, b in enumerate(zeros):
+            assert (a == b) == (i == j), (type(a).__name__, type(b).__name__)
+            assert (a != b) == (i != j)

@@ -300,6 +300,21 @@ def test_foreign_coefficients_rejected():
         alg.one() + HopfElement(alg, [(m, 1)])
 
 
+def test_add_rejects_element_of_another_algebra():
+    """Same field and group, different g: the monomial keys coincide, so only
+    HopfElement's same-algebra check tells the two elements apart."""
+    x = LieFunctional.zero(mu4, F5)
+    alg = build_algebra(F5, mu4, mu4.identity(), x)
+    other = build_algebra(F5, mu4, mu4.character([2]), x)
+    a, b = alg.z_element(), other.z_element()
+    assert a.terms == b.terms
+    with pytest.raises(AssertionError):
+        a + b
+    with pytest.raises(AssertionError):
+        a - b
+    assert (a + a).terms == a.scale(2).terms and (a - a).is_zero()
+
+
 def test_no_zero_coefficient_is_stored():
     def zero_free(*elements):
         return all(not c.is_zero() for e in elements for c in e.terms.values())
