@@ -2,7 +2,8 @@
 
 Exit codes: 0 for accepted / true verdicts, 1 for rejected / false verdicts,
 2 for errors (including malformed input, which names the offending JSON
-path). Reports are deterministic for fixed inputs and seed.
+path). Reports are deterministic for fixed inputs and seed. Each handler
+imports the engine modules it calls, so a subcommand loads only those.
 """
 
 from __future__ import annotations
@@ -11,10 +12,7 @@ import argparse
 import json
 import sys
 
-from . import dgxrep, hcp, hopfcore, smoothcheck
-from .chargroup import GroupDescriptor, LieFunctional
 from .fields import Field, FieldError
-from .hcp import GXData, HarishChandraPair, SubPair
 
 SCHEMA_VERSION = 1
 
@@ -61,6 +59,7 @@ def _require(data, key, path):
 
 
 def _gx_from_json(data, path="$"):
+    from .hcp import GXData
     try:
         return GXData.from_json(data)
     except (KeyError, TypeError) as exc:
@@ -88,6 +87,7 @@ def _verdict_exit(flag: bool) -> int:
 
 
 def cmd_build_ggx(args):
+    from . import hopfcore
     data = _load(args.input)
     gx = _gx_from_json(data)
     verdict = hopfcore.validate_gx(gx.base, gx.g, gx.x)
@@ -103,6 +103,7 @@ def cmd_build_ggx(args):
 
 
 def cmd_verify_hopf(args):
+    from . import hopfcore
     data = _load(args.input)
     gx = _gx_from_json(data)
     alg = hopfcore.build_algebra(gx.field, gx.base, gx.g, gx.x)
@@ -116,13 +117,15 @@ def cmd_verify_hopf(args):
 
 
 def cmd_check_pair(args):
-    pair = HarishChandraPair.from_json(_load(args.input))
+    from . import hcp
+    pair = hcp.HarishChandraPair.from_json(_load(args.input))
     verdict = hcp.check_pair(pair)
     report = {"schema_version": SCHEMA_VERSION, "check": verdict.to_json()}
     return _emit(report, args, _verdict_exit(verdict.ok))
 
 
 def _pair_and_sub(args):
+    from .hcp import HarishChandraPair, SubPair
     data = _load(args.input)
     pair = HarishChandraPair.from_json(_require(data, "pair", "$"))
     sub = SubPair.from_json(pair, _require(data, "sub", "$"))
@@ -130,6 +133,7 @@ def _pair_and_sub(args):
 
 
 def cmd_check_normal(args):
+    from . import hcp
     pair, sub = _pair_and_sub(args)
     verdict = hcp.check_normal(pair, sub)
     report = {"schema_version": SCHEMA_VERSION, "normal": verdict.to_json()}
@@ -137,6 +141,7 @@ def cmd_check_normal(args):
 
 
 def cmd_quotient(args):
+    from . import hcp
     pair, sub = _pair_and_sub(args)
     try:
         quotient = hcp.quotient_pair(pair, sub)
@@ -153,27 +158,31 @@ def cmd_quotient(args):
 
 
 def cmd_super_diag(args):
-    pair = HarishChandraPair.from_json(_load(args.input))
+    from . import hcp
+    pair = hcp.HarishChandraPair.from_json(_load(args.input))
     ok, cert = hcp.super_diagonalizable(pair)
     report = {"schema_version": SCHEMA_VERSION, "super_diagonalizable": ok, "certificate": cert}
     return _emit(report, args, _verdict_exit(ok))
 
 
 def cmd_normal_chain(args):
-    pair = HarishChandraPair.from_json(_load(args.input))
+    from . import hcp
+    pair = hcp.HarishChandraPair.from_json(_load(args.input))
     result = hcp.normal_chain(pair)
     report = {"schema_version": SCHEMA_VERSION, "chain": result.to_json()}
     return _emit(report, args, 0)
 
 
 def cmd_iso_ggx(args):
+    from . import hcp
+    from .chargroup import GroupDescriptor, LieFunctional
     data = _load(args.input)
     field = Field.from_json(_require(data, "field", "$"))
     base = GroupDescriptor.from_json(_require(data, "group", "$"))
-    d1 = GXData(field, base, base.character(_require(data, "g1", "$")),
-                LieFunctional.from_json(base, field, _require(data, "x1", "$")))
-    d2 = GXData(field, base, base.character(_require(data, "g2", "$")),
-                LieFunctional.from_json(base, field, _require(data, "x2", "$")))
+    d1 = hcp.GXData(field, base, base.character(_require(data, "g1", "$")),
+                    LieFunctional.from_json(base, field, _require(data, "x1", "$")))
+    d2 = hcp.GXData(field, base, base.character(_require(data, "g2", "$")),
+                    LieFunctional.from_json(base, field, _require(data, "x2", "$")))
     verdict, alpha = hcp.classify_iso(d1, d2)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -186,6 +195,7 @@ def cmd_iso_ggx(args):
 
 
 def cmd_nilpotency(args):
+    from . import hcp
     gx = _gx_from_json(_load(args.input))
     verdict = hcp.is_nilpotent(gx)
     report = {"schema_version": SCHEMA_VERSION, "nilpotent": verdict}
@@ -193,12 +203,14 @@ def cmd_nilpotency(args):
 
 
 def cmd_center(args):
+    from . import hcp
     gx = _gx_from_json(_load(args.input))
     report = {"schema_version": SCHEMA_VERSION, "center_even": hcp.center_even(gx)}
     return _emit(report, args, 0)
 
 
 def cmd_thm64(args):
+    from . import hcp
     gx = _gx_from_json(_load(args.input))
     conditions = hcp.nilpotency_conditions(gx)
     all_hold = all(
@@ -209,6 +221,7 @@ def cmd_thm64(args):
 
 
 def cmd_counterexample_71(args):
+    from . import hcp
     field = _field_from_flag(args.field)
     try:
         rep = hcp.splitting_counterexample(field, args.alpha, args.beta)
@@ -218,15 +231,21 @@ def cmd_counterexample_71(args):
     return _emit(report, args, _verdict_exit(rep.splits))
 
 
-def _comodule_input(args):
-    data = _load(args.input)
+def _algebra_input(data):
+    from .hopfcore import build_algebra
     gx = _gx_from_json(_require(data, "algebra", "$"), "$.algebra")
-    alg = hopfcore.build_algebra(gx.field, gx.base, gx.g, gx.x)
-    m = dgxrep.Supercomodule.from_json(alg, _require(data, "comodule", "$"))
-    return alg, m
+    return build_algebra(gx.field, gx.base, gx.g, gx.x)
+
+
+def _comodule_input(args):
+    from .dgxrep import Supercomodule
+    data = _load(args.input)
+    alg = _algebra_input(data)
+    return alg, Supercomodule.from_json(alg, _require(data, "comodule", "$"))
 
 
 def cmd_decompose(args):
+    from . import dgxrep
     alg, m = _comodule_input(args)
     failures = m.validate()
     if failures:
@@ -238,6 +257,7 @@ def cmd_decompose(args):
 
 
 def cmd_socle(args):
+    from . import dgxrep
     alg, m = _comodule_input(args)
     soc, basis = dgxrep.socle(m)
     report = {
@@ -250,9 +270,9 @@ def cmd_socle(args):
 
 
 def cmd_ext1(args):
+    from . import dgxrep
     data = _load(args.input)
-    gx = _gx_from_json(_require(data, "algebra", "$"), "$.algebra")
-    alg = hopfcore.build_algebra(gx.field, gx.base, gx.g, gx.x)
+    alg = _algebra_input(data)
     s = dgxrep.IndecompLabel.from_json(_require(data, "S", "$"))
     t = dgxrep.IndecompLabel.from_json(_require(data, "T", "$"))
     dim, rep, rep_label = dgxrep.ext1(alg, s, t)
@@ -266,9 +286,9 @@ def cmd_ext1(args):
 
 
 def cmd_duality(args):
+    from . import dgxrep
     data = _load(args.input)
-    gx = _gx_from_json(_require(data, "algebra", "$"), "$.algebra")
-    alg = hopfcore.build_algebra(gx.field, gx.base, gx.g, gx.x)
+    alg = _algebra_input(data)
     h = alg.group.character(_require(data, "h", "$"))
     rep = dgxrep.dual_pairing(alg, h)
     ok = rep["is_morphism"] and rep["nondegenerate"]
@@ -277,6 +297,7 @@ def cmd_duality(args):
 
 
 def _presentation_from_json(data):
+    from . import smoothcheck
     if data.get("family") == "square_zero_extension":
         return smoothcheck.hochschild_extension_presentation(
             _require(data, "p", "$"), _require(data, "alpha", "$")
@@ -300,6 +321,7 @@ def _presentation_from_json(data):
 
 
 def cmd_smooth(args):
+    from . import smoothcheck
     pres = _presentation_from_json(_load(args.input))
     rep = smoothcheck.is_smooth(pres)
     report = {"schema_version": SCHEMA_VERSION, "smoothness": _stringify(rep.to_json())}
@@ -307,6 +329,7 @@ def cmd_smooth(args):
 
 
 def cmd_regular(args):
+    from . import smoothcheck
     pres = _presentation_from_json(_load(args.input))
     rep = smoothcheck.is_regular(pres)
     report = {"schema_version": SCHEMA_VERSION, "regularity": rep.to_json()}
@@ -314,6 +337,7 @@ def cmd_regular(args):
 
 
 def cmd_hochschild(args):
+    from . import smoothcheck
     res = smoothcheck.hochschild_ealpha(args.p, args.alpha)
     report = {"schema_version": SCHEMA_VERSION, **res.to_json()}
     return _emit(report, args, _verdict_exit(res.split))
@@ -334,8 +358,9 @@ def _stringify(obj):
 
 
 def cmd_selftest(args):
+    from . import dgxrep, hcp, hopfcore, smoothcheck
+    from .chargroup import GroupDescriptor, LieFunctional
     from .fields import GF, QQ
-
     results = []
 
     def check(name, flag):
@@ -360,7 +385,7 @@ def cmd_selftest(args):
     )
 
     def gx(lam, field):
-        return GXData(field, Gm, Gm.identity(), LieFunctional(Gm, field, free=[lam]))
+        return hcp.GXData(field, Gm, Gm.identity(), LieFunctional(Gm, field, free=[lam]))
 
     check("classification: ratio 4 is a square", hcp.classify_iso(gx(1, Q), gx(4, Q))[0] == "isomorphic")
     check("classification: ratio 2 is not", hcp.classify_iso(gx(1, Q), gx(2, Q))[0] == "not_isomorphic")
@@ -371,7 +396,7 @@ def cmd_selftest(args):
     rep = hcp.splitting_counterexample(Q, 0, 1)
     check("counterexample family (0,1): splits", rep.splits)
 
-    d4 = GXData(Q, mu4, mu4.character([2]), LieFunctional.zero(mu4, Q))
+    d4 = hcp.GXData(Q, mu4, mu4.character([2]), LieFunctional.zero(mu4, Q))
     check("nilpotency requires a trivial grouplike", not hcp.is_nilpotent(d4))
 
     alg4 = hopfcore.build_algebra(F5, mu4, mu4.character([1]), LieFunctional.zero(mu4, F5))

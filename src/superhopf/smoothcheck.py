@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import _expr
-from .fields import Field, FieldElement, FunctionField, Sparse, lincomb, poly_divmod
+from .fields import Field, FieldElement, FunctionField, Sparse, Unsupported, lincomb, poly_divmod
 
 
 class NonTerminatingRewrite(Exception):
@@ -102,8 +102,11 @@ class Polynomial(Sparse):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        c = self.ring.field.parse(other)
-        return self * c.inverse()
+        if isinstance(other, Polynomial):
+            if any(any(e) for e in other.terms):
+                raise Unsupported(f"division by the non-constant polynomial {other}")
+            other = other.terms.get((0,) * self.ring.nvars, 0)
+        return self * self.ring.field.parse(other).inverse()
 
     def __pow__(self, n):
         out = self.ring.one()

@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from superhopf.chargroup import GroupDescriptor, LieFunctional
-from superhopf.fields import DescriptorMismatch, FunctionField, GF, QQ
+from superhopf.fields import DescriptorMismatch, DivisionByZero, FunctionField, GF, QQ, Unsupported
 from superhopf.hopfcore import build_algebra, group_algebra
 from superhopf.smoothcheck import (
     InvalidAlpha,
@@ -49,6 +50,22 @@ def test_polynomial_rejects_foreign_coefficients_and_stores_no_zero():
     assert (f - f).terms == {} and (f * 0).terms == {} and ring.const(0).terms == {}
     g = PolyRing(F5, ("x",)).parse("x^5 + 2*x")
     assert g.derivative(0).terms == {(0,): F5.from_int(2)}  # 5*x^4 vanishes mod 5
+
+
+@pytest.mark.parametrize("field", [Q, FunctionField(5, "t")], ids=["Q", "F5(t)"])
+def test_polynomial_division_by_constants_only(field):
+    ring = PolyRing(field, ("x", "y"))
+    x = ring.gen(0)
+    half = field.from_int(2).inverse()
+    assert ring.parse("x/2") == x * half
+    assert ring.parse("x/(1+1)") == x * half
+    if field.kind == "Fpt":
+        assert ring.parse("x/(t+1)") == x * (field.generator() + 1).inverse()
+    for divisor in ("y", "y + 1"):
+        with pytest.raises(Unsupported, match=re.escape(f"polynomial {divisor}")):
+            ring.parse(f"x/({divisor})")
+    with pytest.raises(DivisionByZero):
+        ring.parse("x/0")
 
 
 def test_polynomial_rank():
