@@ -9,9 +9,9 @@ import importlib
 _EXPORTS = {
     "fields": "Field FieldElement FunctionField GF QQ QuadraticField",
     "chargroup": "Character GroupDescriptor LieFunctional Subgroup subgroup_kernel",
-    "hopfcore": "MonomialHopfSuperalgebra build_algebra coradical find_grouplikes find_primitives"
-                " find_skew_primitives group_algebra validate_gx verify_hopf_axioms",
-    "hcp": "GXData HarishChandraPair SubPair abelian_normal_form center_even check_normal"
+    "hopfcore": "GXData MonomialHopfSuperalgebra build_algebra coradical find_grouplikes"
+                " find_primitives find_skew_primitives group_algebra validate_gx verify_hopf_axioms",
+    "hcp": "HarishChandraPair SubPair abelian_normal_form center_even check_normal"
            " check_pair classify_iso is_nilpotent nilpotency_conditions normal_chain"
            " quotient_pair splitting_counterexample super_diagonalizable unipotent_radical_trivial",
     "dgxrep": "IndecompLabel Supercomodule decompose dual_pairing ext1 socle standard_object",

@@ -59,7 +59,7 @@ def _require(data, key, path):
 
 
 def _gx_from_json(data, path="$"):
-    from .hcp import GXData
+    from .hopfcore import GXData
     try:
         return GXData.from_json(data)
     except (KeyError, TypeError) as exc:

@@ -183,9 +183,17 @@ class Supercomodule:
         even = data["dims"]["even"]
         odd = data["dims"]["odd"]
         parities = (EVEN,) * even + (ODD,) * odd
-        rows = [[] for _ in range(even + odd)]
+        dim = even + odd
+        rows = [[] for _ in range(dim)]
+        seen = set()
         for i, entries in data["coaction"]:
+            if not 0 <= i < dim or i in seen:
+                raise InvalidLabel(f"coaction row index {i} is repeated or outside 0..{dim - 1}")
+            seen.add(i)
             rows[i] = [(j, c, tuple(ch), e) for j, c, ch, e in entries]
+            bad = [j for j, *_ in rows[i] if not 0 <= j < dim]
+            if bad:
+                raise InvalidLabel(f"coaction row {i}: target index {bad[0]} outside 0..{dim - 1}")
         return Supercomodule(algebra, parities, rows)
 
 

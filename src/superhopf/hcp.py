@@ -28,7 +28,7 @@ from .chargroup import (
 )
 from .fields import Field, Unsupported
 from . import superlin
-from .hopfcore import validate_gx
+from .hopfcore import GXData, validate_gx
 
 
 class InvalidSubPair(Exception):
@@ -127,6 +127,8 @@ class HarishChandraPair:
             weights.append(base.character(v["weight"]))
         pair = HarishChandraPair(field, base, weights)
         for i, j, x in data.get("bracket", []):
+            if not (0 <= i < pair.dim_v and 0 <= j < pair.dim_v):
+                raise InvalidSubPair(f"bracket index ({i}, {j}) outside 0..{pair.dim_v - 1}")
             pair.set_bracket(i, j, LieFunctional.from_json(base, field, x))
         return pair
 
@@ -569,37 +571,6 @@ def normal_chain(pair: HarishChandraPair) -> NormalChainResult:
 # the one-odd-dimension family: classification, center, nilpotency
 
 
-@dataclass
-class GXData:
-    """A supergroup of the one-odd-dimension family over base G."""
-
-    field: Field
-    base: GroupDescriptor
-    g: Character
-    x: LieFunctional
-
-    def pair(self) -> HarishChandraPair:
-        p = HarishChandraPair(self.field, self.base, [self.g])
-        p.set_bracket(0, 0, self.x.scale(2))
-        return p
-
-    def to_json(self):
-        return {
-            "field": self.field.to_json(),
-            "group": self.base.to_json(),
-            "g": list(self.g.exps),
-            "x": self.x.to_json(),
-        }
-
-    @staticmethod
-    def from_json(data):
-        field = Field.from_json(data["field"])
-        base = GroupDescriptor.from_json(data["group"])
-        g = base.character(data["g"])
-        x = LieFunctional.from_json(base, field, data["x"])
-        return GXData(field, base, g, x)
-
-
 def classify_iso(d1: GXData, d2: GXData):
     """Isomorphism test inside the supported automorphism family: inversions
     on the free factors of D, arbitrary rescalings of the additive factors.
@@ -694,7 +665,8 @@ def nilpotency_conditions(d: GXData):
     mult_center_in_kernel = d.g.is_identity()
     cond_d = mult_center_in_kernel  # even part abelian => nilpotent
     # F = multiplicative part of the center = kernel of g inside D
-    pair = d.pair()
+    pair = HarishChandraPair(d.field, d.base, [d.g])
+    pair.set_bracket(0, 0, d.x.scale(2))
     sub = SubPair(frozenset(), [d.g], [])
     quotient = quotient_pair(pair, sub)
     quotient_even_unipotent = (

@@ -437,6 +437,32 @@ def validate_gx(group: GroupDescriptor, g: Character, x: LieFunctional) -> GXVal
     return GXValidation(False, "x != 0 while g^2 != 1", pairing_zero)
 
 
+@dataclass
+class GXData:
+    """A supergroup of the one-odd-dimension family over base G."""
+
+    field: Field
+    base: GroupDescriptor
+    g: Character
+    x: LieFunctional
+
+    def to_json(self):
+        return {
+            "field": self.field.to_json(),
+            "group": self.base.to_json(),
+            "g": list(self.g.exps),
+            "x": self.x.to_json(),
+        }
+
+    @staticmethod
+    def from_json(data):
+        field = Field.from_json(data["field"])
+        base = GroupDescriptor.from_json(data["group"])
+        g = base.character(data["g"])
+        x = LieFunctional.from_json(base, field, data["x"])
+        return GXData(field, base, g, x)
+
+
 def build_algebra(field: Field, group: GroupDescriptor, g: Character,
                   x: LieFunctional) -> MonomialHopfSuperalgebra:
     verdict = validate_gx(group, g, x)

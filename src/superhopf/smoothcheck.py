@@ -32,10 +32,6 @@ class UndecidableBase(Exception):
     pass
 
 
-class DegreeBoundExceeded(Exception):
-    pass
-
-
 class InvalidAlpha(Exception):
     pass
 
@@ -109,6 +105,8 @@ class Polynomial(Sparse):
         return self * self.ring.field.parse(other).inverse()
 
     def __pow__(self, n):
+        if n < 0:
+            return self.ring.one() / self ** -n
         out = self.ring.one()
         for _ in range(n):
             out = out * self
@@ -359,6 +357,8 @@ class SuperElement(Sparse):
                     yield (tuple(a + b for a, b in zip(e, e3)), s3), base * c3
 
     def __pow__(self, n):
+        if n < 0:
+            raise Unsupported(f"negative power of the superalgebra element {self}")
         out = self.pres.one_elem()
         for _ in range(n):
             out = out * self

@@ -10,172 +10,18 @@ the row space. The dense routines (`row_reduce`, `kernel_basis`, `solve`, ...)
 do the elimination on lists of rows; pivoting takes the first nonzero entry.
 Every entry must belong to the `field` argument (else DescriptorMismatch):
 `row_reduce` eliminates on the raw values through the field's underscore
-methods and boxes the result once. All results are exact. Koszul-sign helpers
-for tensor manipulations live here as well.
+methods and boxes the result once. All results are exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .fields import DescriptorMismatch, Field, FieldElement, lincomb
+from .fields import DescriptorMismatch, Field, FieldElement
 
 EVEN, ODD = 0, 1
 
 
 class InconsistentSystem(Exception):
     pass
-
-
-def koszul_sign(parity_a: int, parity_b: int) -> int:
-    """Sign picked up when a factor of parity_a moves past one of parity_b."""
-    return -1 if (parity_a & 1) and (parity_b & 1) else 1
-
-
-@dataclass(frozen=True)
-class SuperVectorSpace:
-    labels: tuple
-    parities: tuple
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.parities):
-            raise ValueError("labels and parities disagree")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("labels must be distinct")
-        if any(p not in (EVEN, ODD) for p in self.parities):
-            raise ValueError("parities must be 0 or 1")
-
-    @property
-    def dim(self):
-        return len(self.labels)
-
-    @property
-    def even_dim(self):
-        return sum(1 for p in self.parities if p == EVEN)
-
-    @property
-    def odd_dim(self):
-        return sum(1 for p in self.parities if p == ODD)
-
-    def parity_shift(self):
-        return SuperVectorSpace(self.labels, tuple(1 - p for p in self.parities))
-
-    @staticmethod
-    def make(even_labels, odd_labels):
-        return SuperVectorSpace(
-            tuple(even_labels) + tuple(odd_labels),
-            (EVEN,) * len(tuple(even_labels)) + (ODD,) * len(tuple(odd_labels)),
-        )
-
-
-def tensor_space(v: SuperVectorSpace, w: SuperVectorSpace) -> SuperVectorSpace:
-    labels = tuple(f"{a}(x){b}" for a in v.labels for b in w.labels)
-    parities = tuple((pa + pb) % 2 for pa in v.parities for pb in w.parities)
-    return SuperVectorSpace(labels, parities)
-
-
-class SuperLinearMap:
-    """Sparse exact linear map between super vector spaces; `entries`
-    {(row, column): coefficient} is merged by `fields.lincomb`, so it never
-    holds a zero or a coefficient from another field."""
-
-    def __init__(self, domain, codomain, field, entries, parity=None):
-        self.domain = domain
-        self.codomain = codomain
-        self.field = field
-        self.entries = lincomb(field, entries)
-        self.parity = parity
-
-    def check_parity_homogeneous(self):
-        """Verify column-by-column that the declared parity is respected."""
-        if self.parity is None:
-            return True
-        for (i, j), v in self.entries.items():
-            if (self.codomain.parities[i] - self.domain.parities[j] - self.parity) % 2:
-                return False
-        return True
-
-    def dense_rows(self):
-        zero = self.field.zero()
-        rows = [[zero] * self.domain.dim for _ in range(self.codomain.dim)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
-    def apply(self, vec):
-        zero = self.field.zero()
-        out = [zero] * self.codomain.dim
-        for (i, j), v in self.entries.items():
-            out[i] = out[i] + v * vec[j]
-        return out
-
-    def compose(self, other: "SuperLinearMap") -> "SuperLinearMap":
-        if other.codomain != self.domain:
-            raise ValueError("composition mismatch")
-        by_col = {}
-        for (i, j), v in self.entries.items():
-            by_col.setdefault(j, []).append((i, v))
-        entries = (((i, k), v * w) for (j, k), w in other.entries.items()
-                   for i, v in by_col.get(j, ()))
-        parity = None
-        if self.parity is not None and other.parity is not None:
-            parity = (self.parity + other.parity) % 2
-        return SuperLinearMap(other.domain, self.codomain, self.field, entries, parity)
-
-    def rank(self):
-        return rank(self.dense_rows(), self.field)
-
-    def kernel(self):
-        """Kernel basis; parity-homogeneous when the map is."""
-        system = {}
-        for (i, j), v in self.entries.items():
-            add_entry(system, i, j, v)
-        n = self.domain.dim
-        if self.parity is None:
-            split = [(EVEN, vec) for vec in kernel_on(system, range(n), n, self.field)]
-        else:
-            split = kernel_by_parity(system, self.domain.parities, self.field)
-        space = SuperVectorSpace(tuple(f"k{i}" for i in range(len(split))),
-                                 tuple(p for p, _ in split))
-        return space, [vec for _, vec in split]
-
-    def image(self):
-        rows = self.dense_rows()
-        cols = [[rows[i][j] for i in range(self.codomain.dim)] for j in range(self.domain.dim)]
-        reduced, pivots = row_reduce(cols, self.field)
-        vectors = [reduced[i] for i in range(len(pivots))]
-        parities = []
-        for vec in vectors:
-            par = EVEN
-            for i, v in enumerate(vec):
-                if not v.is_zero():
-                    par = self.codomain.parities[i]
-                    break
-            parities.append(par)
-        space = SuperVectorSpace(tuple(f"im{i}" for i in range(len(vectors))), tuple(parities))
-        return space, vectors
-
-    def solve(self, target):
-        return solve(self.dense_rows(), target, self.field)
-
-    def to_json(self):
-        return {
-            "rows": self.codomain.dim,
-            "cols": self.domain.dim,
-            "triplets": [[i, j, str(v)] for (i, j), v in sorted(self.entries.items())],
-        }
-
-
-def braiding(v: SuperVectorSpace, w: SuperVectorSpace, field: Field) -> SuperLinearMap:
-    """The symmetry v(x)w -> w(x)v, with sign -1 on odd(x)odd."""
-    entries = {}
-    for a in range(v.dim):
-        for b in range(w.dim):
-            src = a * w.dim + b
-            dst = b * v.dim + a
-            sign = koszul_sign(v.parities[a], w.parities[b])
-            entries[(dst, src)] = field.from_int(sign)
-    return SuperLinearMap(tensor_space(v, w), tensor_space(w, v), field, entries, EVEN)
 
 
 # ---------------------------------------------------------------------------

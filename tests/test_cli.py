@@ -254,7 +254,7 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     payload["comodule"]["coaction"][0][1][0][0] = 99
     bad_target = write(tmp_path, "target.json", payload)
     code, report = run(tmp_path, capsys, ["decompose", "--input", bad_target])
-    assert code == 2 and report["error"].startswith("IndexError")
+    assert code == 2 and report["error"].startswith("InvalidLabel")
     no_char = write(tmp_path, "nochar.json", {"algebra": MU4_GGX, "S": {"kind": "S"},
                                               "T": {"kind": "S", "char": [1]}})
     code, report = run(tmp_path, capsys, ["ext1", "--input", no_char])
@@ -262,6 +262,37 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     ggx = write(tmp_path, "ggx.json", MU4_GGX)
     code, report = run(tmp_path, capsys, ["verify-hopf", "--input", ggx, "--samples", "-7"])
     assert code == 2 and report["error"].startswith("ValueError")
+
+
+def test_negative_exponent_exit_2(tmp_path, capsys):
+    """x^-1 is refused, not read as x^0 = 1."""
+    pres = write(tmp_path, "pres.json", {"field": {"kind": "Q"},
+                                         "even_ring": {"vars": ["x"], "relations": ["x^2 - x^-1"]},
+                                         "odd": ["z"]})
+    code, report = run(tmp_path, capsys, ["smooth", "--input", pres])
+    assert code == 2 and report["error"].startswith("Unsupported")
+    code, report = run(tmp_path, capsys, ["hochschild", "--p", "3", "--alpha", "x^-1"])
+    assert code == 2 and report["error"].startswith("Unsupported")
+
+
+def test_json_index_out_of_range_or_repeated_exit_2(tmp_path, capsys):
+    """A negative or repeated index must not alias another entry."""
+    cases = []
+    for row, target in ((-1, None), (0, None), (2, None), (1, -1), (1, 2)):
+        payload = _comodule_payload()
+        entry = payload["comodule"]["coaction"][1]
+        entry[0] = row
+        if target is not None:
+            entry[1][0][0] = target
+        cases.append(("socle", "InvalidLabel", payload))
+    for i, j in ((0, -1), (-2, 1), (0, 2)):
+        pair = json.loads(json.dumps(PAIR_72))
+        pair["bracket"][0][:2] = [i, j]
+        cases.append(("check-pair", "InvalidSubPair", pair))
+    for command, error, payload in cases:
+        path = write(tmp_path, "bad.json", payload)
+        code, report = run(tmp_path, capsys, [command, "--input", path])
+        assert code == 2 and report["error"].startswith(error), payload
 
 
 def test_selftest_and_determinism(tmp_path, capsys):

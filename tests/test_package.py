@@ -21,14 +21,14 @@ EXPORTS = {
     "fields": ["Field", "FieldElement", "FunctionField", "GF", "QQ", "QuadraticField"],
     "chargroup": ["Character", "GroupDescriptor", "LieFunctional", "Subgroup", "subgroup_kernel"],
     "hopfcore": [
-        "MonomialHopfSuperalgebra", "build_algebra", "coradical", "find_grouplikes",
+        "GXData", "MonomialHopfSuperalgebra", "build_algebra", "coradical", "find_grouplikes",
         "find_primitives", "find_skew_primitives", "group_algebra", "validate_gx",
         "verify_hopf_axioms",
     ],
     "hcp": [
-        "GXData", "HarishChandraPair", "SubPair", "abelian_normal_form", "center_even",
-        "check_normal", "check_pair", "classify_iso", "is_nilpotent", "nilpotency_conditions",
-        "normal_chain", "quotient_pair", "splitting_counterexample", "super_diagonalizable",
+        "HarishChandraPair", "SubPair", "abelian_normal_form", "center_even", "check_normal",
+        "check_pair", "classify_iso", "is_nilpotent", "nilpotency_conditions", "normal_chain",
+        "quotient_pair", "splitting_counterexample", "super_diagonalizable",
         "unipotent_radical_trivial",
     ],
     "dgxrep": [
@@ -98,3 +98,10 @@ def test_check_pair_skips_comodules_and_smoothness():
     loaded = _loaded_submodules(_cli_run("check-pair"))
     assert "superhopf.hcp" in loaded
     assert not loaded & {"superhopf.dgxrep", "superhopf.smoothcheck"}
+
+
+@pytest.mark.parametrize("name", ["build-ggx", "verify-hopf", "decompose", "socle", "ext1",
+                                  "duality"])
+def test_structure_data_commands_skip_pairs(name):
+    """These commands read structure data (`GXData`) but call no pair verdict."""
+    assert "superhopf.hcp" not in _loaded_submodules(_cli_run(name))

@@ -68,6 +68,29 @@ def test_polynomial_division_by_constants_only(field):
         ring.parse("x/0")
 
 
+@pytest.mark.parametrize("field", [Q, FunctionField(5, "t")], ids=["Q", "F5(t)"])
+def test_negative_powers(field):
+    """A negative power of a polynomial inverts a nonzero constant and is
+    refused otherwise; superalgebra elements have no inverse at all."""
+    ring = PolyRing(field, ("x", "y"))
+    x = ring.gen(0)
+    assert ring.parse("2^-1*x") == ring.parse("x/2") == x * field.from_int(2).inverse()
+    assert ring.parse("(1+1)^-2") == ring.const(1) / 4
+    if field.kind == "Fpt":
+        assert ring.parse("t^-1*x") == ring.parse("x/t") != x
+    for src in ("x^-1", "(x*y + 1)^-2"):
+        with pytest.raises(Unsupported):
+            ring.parse(src)
+    with pytest.raises(DivisionByZero):
+        ring.parse("(x - x)^-1")
+    pres = SuperAlgebraPresentation(field, ("x",), [], ("z",))
+    for src in ("x^-1", "(1+1)^-1"):
+        with pytest.raises(Unsupported):
+            pres.parse_element(src)
+    with pytest.raises(Unsupported):
+        hochschild_ealpha(3, "x^-1")
+
+
 def test_polynomial_rank():
     ring = PolyRing(Q, ("x",))
     x = ring.gen(0)

@@ -4,78 +4,41 @@ import pytest
 
 from superhopf import superlin
 from superhopf.fields import GF, QQ, DescriptorMismatch, FunctionField, QuadraticField
-from superhopf.superlin import (
-    EVEN,
-    ODD,
-    InconsistentSystem,
-    SuperLinearMap,
-    SuperVectorSpace,
-    braiding,
-    koszul_sign,
-    tensor_space,
-)
-
-
-def _random_map(rng, field, dom, cod, parity=None):
-    entries = {}
-    for i in range(cod.dim):
-        for j in range(dom.dim):
-            if parity is not None and (cod.parities[i] - dom.parities[j] - parity) % 2:
-                continue
-            if rng.random() < 0.6:
-                entries[(i, j)] = field.random(rng)
-    return SuperLinearMap(dom, cod, field, entries, parity)
+from superhopf.superlin import EVEN, ODD, InconsistentSystem
 
 
 def test_rank_nullity_randomized():
     rng = random.Random(11)
+    seen_empty = False
     for field in (QQ(), GF(5), FunctionField(5), QuadraticField(-1)):
         for _ in range(30):
-            dom = SuperVectorSpace.make([f"e{i}" for i in range(rng.randint(1, 4))],
-                                        [f"o{i}" for i in range(rng.randint(0, 3))])
-            cod = SuperVectorSpace.make([f"f{i}" for i in range(rng.randint(1, 4))],
-                                        [f"p{i}" for i in range(rng.randint(0, 3))])
-            m = _random_map(rng, field, dom, cod)
-            _, kern = m.kernel()
-            assert m.rank() + len(kern) == dom.dim
+            m, n = rng.randint(0, 7), rng.randint(1, 7)
+            system = {}
+            for i in range(m):
+                for j in range(n):
+                    if rng.random() < 0.6:
+                        superlin.add_entry(system, ("row", i), j, field.random(rng))
+            seen_empty |= not system
+            kern = superlin.kernel_on(system, range(n), n, field)
+            rows = [[row.get(j, field.zero()) for j in range(n)] for row in system.values()]
+            assert superlin.rank(rows, field) + len(kern) == n
             for vec in kern:
-                assert all(v.is_zero() for v in m.apply(vec))
-
-
-def test_linear_map_rejects_foreign_entries_and_stores_no_zero():
-    Q = QQ()
-    space = SuperVectorSpace.make(["a", "b"], ["c"])
-    with pytest.raises(DescriptorMismatch):
-        SuperLinearMap(space, space, Q, {(0, 0): GF(7).from_int(3)}, EVEN)
-    m = SuperLinearMap(space, space, Q, {(0, 0): Q.one(), (1, 1): Q.zero(), (0, 1): Q.one()}, EVEN)
-    assert list(m.entries) == [(0, 0), (0, 1)]
-    # the (0, 0) entry of m * n is 1*1 + 1*(-1)
-    n = SuperLinearMap(space, space, Q, {(0, 0): Q.one(), (1, 0): -Q.one(), (1, 1): Q.one()}, EVEN)
-    assert m.compose(n).entries == {(0, 1): Q.one()}
+                assert len(vec) == n
+                assert all(v.is_zero() for v in _mat_vec(rows, vec, field))
+    assert seen_empty
 
 
 def test_trivial_examples():
     Q = QQ()
-    space = SuperVectorSpace.make(["a", "b", "c"], [])
-    zero = SuperLinearMap(space, space, Q, {}, EVEN)
-    _, kern = zero.kernel()
-    assert len(kern) == 3
-    ident = SuperLinearMap(space, space, Q,
-                           {(i, i): Q.one() for i in range(3)}, EVEN)
-    assert ident.rank() == 3
-    two = SuperVectorSpace.make(["a", "b"], [])
-    ones = SuperLinearMap(two, two, Q, {(i, j): Q.one() for i in range(2) for j in range(2)}, EVEN)
-    assert ones.rank() == 1
-    dom = SuperVectorSpace.make(["a", "b"], ["c"])
-    for parity in (None, EVEN):
-        to_zero = SuperLinearMap(dom, SuperVectorSpace.make([], []), Q, {}, parity)
-        kspace, kern = to_zero.kernel()
-        assert kspace.dim == len(kern) == dom.dim
-        for par, vec in zip(kspace.parities, kern):
-            support = {dom.parities[i] for i, c in enumerate(vec) if not c.is_zero()}
-            assert len(support) == 1
-            if parity is not None:
-                assert support == {par}
+    zero, one = Q.zero(), Q.one()
+    assert superlin.kernel_on({}, [0, 2], 3, Q) == [[one, zero, zero], [zero, zero, one]]
+    assert superlin.kernel_on({}, [], 3, Q) == []
+    # a map into a zero-dimensional space has the whole domain as its kernel
+    assert superlin.kernel_by_parity({}, [ODD, EVEN, ODD], Q) == [
+        (EVEN, [zero, one, zero]), (ODD, [one, zero, zero]), (ODD, [zero, zero, one])]
+    ident = [[one if i == j else zero for j in range(3)] for i in range(3)]
+    assert superlin.rank(ident, Q) == 3
+    assert superlin.rank([[one, one], [one, one]], Q) == 1
 
 
 def test_solve_and_inconsistent():
@@ -214,85 +177,15 @@ def test_row_reduce_rejects_entries_of_another_field():
 
 def test_parity_homogeneous_kernel():
     Q = QQ()
-    dom = SuperVectorSpace.make(["e0"], ["o0", "o1"])
-    cod = SuperVectorSpace.make(["f0"], ["p0"])
-    m = SuperLinearMap(dom, cod, Q, {(1, 1): Q.one(), (1, 2): Q.one()}, EVEN)
-    assert m.check_parity_homogeneous()
-    space, kern = m.kernel()
-    assert space.dim == 2
-    for parity, vec in zip(space.parities, kern):
-        support = {dom.parities[i] for i, c in enumerate(vec) if not c.is_zero()}
-        assert support == {parity}
-
-
-def test_parity_shift_involution():
-    v = SuperVectorSpace.make(["a"], ["b", "c"])
-    shifted = v.parity_shift()
-    assert shifted.even_dim == 2 and shifted.odd_dim == 1
-    assert shifted.parity_shift() == v
-    assert shifted.dim == v.dim
-
-
-def test_koszul_sign_rule():
-    assert koszul_sign(ODD, ODD) == -1
-    assert koszul_sign(EVEN, ODD) == 1
-    assert koszul_sign(ODD, EVEN) == 1
-
-
-def test_braiding_signs_and_involution():
-    Q = QQ()
-    v = SuperVectorSpace.make(["e"], ["z"])
-    w = SuperVectorSpace.make([], ["w"])
-    b = braiding(v, w, Q)
-    # odd (x) odd picks up a sign
-    zw_index = 1 * w.dim + 0  # z (x) w in v (x) w
-    wz_index = 0 * v.dim + 1  # w (x) z in w (x) v
-    assert b.entries[(wz_index, zw_index)] == Q.from_int(-1)
-    # even (x) odd does not
-    ew_index = 0 * w.dim + 0
-    we_index = 0 * v.dim + 0
-    assert b.entries[(we_index, ew_index)] == Q.one()
-    back = braiding(w, v, Q)
-    roundtrip = back.compose(b)
-    for (i, j), c in roundtrip.entries.items():
-        assert (i == j) == c.is_one()
-
-
-def test_tensor_space_parities():
-    v = SuperVectorSpace.make(["e"], ["z"])
-    t = tensor_space(v, v)
-    assert t.parities == (EVEN, ODD, ODD, EVEN)
-
-
-def test_image_basis_and_map_solve():
-    Q = QQ()
-    dom = SuperVectorSpace.make(["a", "b"], [])
-    cod = SuperVectorSpace.make(["x", "y"], [])
-    m = SuperLinearMap(dom, cod, Q,
-                       {(0, 0): Q.one(), (0, 1): Q.one(),
-                        (1, 0): Q.from_int(2), (1, 1): Q.from_int(2)}, EVEN)
-    space, vectors = m.image()
-    assert space.dim == 1
-    assert vectors[0][1] == vectors[0][0] * 2
-    sol = m.solve([Q.from_int(3), Q.from_int(6)])
-    assert m.apply(sol) == [Q.from_int(3), Q.from_int(6)]
-    with pytest.raises(InconsistentSystem):
-        m.solve([Q.from_int(3), Q.from_int(5)])
-
-
-def test_image_respects_parity():
-    Q = QQ()
-    dom = SuperVectorSpace.make(["a"], ["b"])
-    cod = SuperVectorSpace.make(["x"], ["y"])
-    m = SuperLinearMap(dom, cod, Q, {(0, 0): Q.one(), (1, 1): Q.from_int(3)}, EVEN)
-    space, vectors = m.image()
-    assert space.dim == 2
-    assert set(space.parities) == {EVEN, ODD}
-
-
-def test_map_json():
-    Q = QQ()
-    v = SuperVectorSpace.make(["a"], ["b"])
-    m = SuperLinearMap(v, v, Q, {(0, 0): Q.one(), (1, 1): Q.from_int(2)}, EVEN)
-    data = m.to_json()
-    assert data["triplets"] == [[0, 0, "1"], [1, 1, "2"]]
+    parities = [EVEN, ODD, ODD]
+    system = {}
+    # one condition coupling the two odd unknowns: o0 + o1 = 0
+    superlin.add_entry(system, "odd", 1, Q.one())
+    superlin.add_entry(system, "odd", 2, Q.one())
+    kern = superlin.kernel_by_parity(system, parities, Q)
+    assert [par for par, _ in kern] == [EVEN, ODD]
+    assert kern[1][1] == [Q.zero(), -Q.one(), Q.one()]
+    for par, vec in kern:
+        support = {parities[i] for i, c in enumerate(vec) if not c.is_zero()}
+        assert support == {par}
+        assert (vec[1] + vec[2]).is_zero()
