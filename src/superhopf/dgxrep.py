@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .chargroup import QuotientGroup
-from .fields import Field, lincomb
+from .fields import DescriptorMismatch, Field, FieldElement, lincomb, lincomb_raw
 from .hopfcore import MonomialHopfSuperalgebra
 from . import superlin
 
@@ -72,24 +72,41 @@ class Supercomodule:
     coaction[i] is a tuple of (target_index, coefficient, char_exponents, eps)
     meaning rho(m_i) contains coefficient * m_target (x) h z^eps. The
     constructor merges repeated (target, character, eps) entries of a row and
-    drops the zero sums, so each stored row is sorted, merged and zero-free.
+    drops the zero sums. The coaction is stored once, raw: `_rows[i]` holds
+    (target_index, raw value, char_exponents, eps), sorted, merged and
+    zero-free, and `coaction` is a read-only view of it with boxed values.
     """
 
     def __init__(self, algebra: MonomialHopfSuperalgebra, parities, coaction):
+        parse = algebra.field.parse
+        self._store(algebra, parities, ([(j, parse(c)._v, chars, eps) for j, c, chars, eps in row]
+                                        for row in coaction))
+
+    @classmethod
+    def _raw(cls, algebra, parities, rows):
+        """The comodule of coaction rows whose coefficients are raw values."""
+        return cls.__new__(cls)._store(algebra, parities, rows)
+
+    def _store(self, algebra, parities, rows):
         if algebra.k != 0:
             raise InvalidLabel("comodules require a diagonalizable base")
         self.algebra = algebra
-        self.field = algebra.field
+        self.field = field = algebra.field
         self.parities = tuple(parities)
-        field, reduce = self.field, algebra.group.reduce
-        norm = []
-        for row in coaction:
-            merged = lincomb(field, (((j, reduce(chars), int(eps)), field.parse(c))
-                                     for j, c, chars, eps in row))
-            norm.append(tuple((j, c, ch, e) for (j, ch, e), c in sorted(merged.items())))
-        self.coaction = tuple(norm)
-        if len(self.coaction) != self.dim:
+        reduce = algebra.group.reduce
+        self._rows = tuple(
+            tuple((j, v, ch, e) for (j, ch, e), v in sorted(lincomb_raw(
+                field, (((j, reduce(chars), int(eps)), v) for j, v, chars, eps in row)).items()))
+            for row in rows)
+        if len(self._rows) != self.dim:
             raise InvalidLabel("coaction rows do not match the dimension")
+        return self
+
+    @property
+    def coaction(self):
+        field = self.field
+        return tuple(tuple((j, FieldElement(field, v), ch, e) for j, v, ch, e in row)
+                     for row in self._rows)
 
     @property
     def dim(self):
@@ -105,60 +122,67 @@ class Supercomodule:
 
     def characters_used(self):
         group = self.algebra.group
-        seen = {chars for row in self.coaction for _, _, chars, _ in row}
+        seen = {chars for row in self._rows for _, _, chars, _ in row}
         return [group.character(e) for e in sorted(seen)]
 
     def coact_vector(self, vec):
         """rho(sum vec_i m_i) as {(target, chars, eps): coefficient}."""
-        return lincomb(self.field, (((j, chars, eps), c * d)
-                                    for c, row in zip(vec, self.coaction) if c
-                                    for j, d, chars, eps in row))
+        image = self._coact([self.field.parse(c)._v for c in vec])
+        return {key: FieldElement(self.field, v) for key, v in image.items()}
+
+    def _coact(self, vec):
+        """coact_vector on raw values: raw coordinates in, raw image out."""
+        field = self.field
+        is_zero, mul = field._is_zero, field._prod
+        return lincomb_raw(field, (((j, chars, eps), mul(c, d)) for c, row in zip(vec, self._rows)
+                                   if not is_zero(c) for j, d, chars, eps in row))
 
     def parity_shift(self):
-        return Supercomodule(self.algebra, tuple(1 - p for p in self.parities), self.coaction)
+        return Supercomodule._raw(self.algebra, tuple(1 - p for p in self.parities), self._rows)
 
     def direct_sum(self, other: "Supercomodule") -> "Supercomodule":
+        if other.field is not self.field:
+            raise DescriptorMismatch("the comodules are over different fields")
         shift = self.dim
-        rows = list(self.coaction)
-        for row in other.coaction:
-            rows.append(tuple((j + shift, c, ch, e) for j, c, ch, e in row))
-        return Supercomodule(self.algebra, self.parities + other.parities, rows)
+        rows = list(self._rows) + [tuple((j + shift, c, ch, e) for j, c, ch, e in row)
+                                   for row in other._rows]
+        return Supercomodule._raw(self.algebra, self.parities + other.parities, rows)
 
     def change_basis(self, matrix):
         """Comodule with basis m'_i = sum_j matrix[j][i] m_j (columns are the
         new basis vectors in old coordinates); matrix must be invertible and
         parity-preserving."""
-        n = self.dim
-        inv = _invert(matrix, self.field)
+        n, mul = self.dim, self.field._prod
+        inv = [[x._v if x else None for x in row] for row in _invert(matrix, self.field)]
         rows = []
         for i in range(n):
-            image = self.coact_vector([matrix[r][i] for r in range(n)])
-            rows.append([(t, inv[t][j] * c, chars, eps)
+            image = self._coact([matrix[r][i]._v for r in range(n)])
+            rows.append([(t, mul(inv[t][j], c), chars, eps)
                          for (j, chars, eps), c in image.items() for t in range(n) if inv[t][j]])
-        return Supercomodule(self.algebra, self.parities, rows)
+        return Supercomodule._raw(self.algebra, self.parities, rows)
 
     def validate(self):
         """Exact comodule-axiom check: parity of the coaction, counit, and
         coassociativity against the coacting algebra's coproduct."""
         alg = self.algebra
         field = self.field
+        mul, one, rows, delta = field._prod, field.one()._v, self._rows, alg.delta_monomial
         failures = []
         for i in range(self.dim):
-            for j, c, chars, eps in self.coaction[i]:
+            for j, c, chars, eps in rows[i]:
                 if (self.parities[j] + eps - self.parities[i]) % 2:
                     failures.append(("coaction parity", f"row {i} target {j}"))
-        for i, row in enumerate(self.coaction):
-            if lincomb(field, ((j, c) for j, c, _, eps in row if eps == 0)) != {i: field.one()}:
+        for i, row in enumerate(rows):
+            if lincomb_raw(field, ((j, c) for j, c, _, eps in row if eps == 0)) != {i: one}:
                 failures.append(("counit", f"row {i}"))
-        for i, row in enumerate(self.coaction):
+        for i, row in enumerate(rows):
             # (rho (x) id) rho(m_i) against (id (x) Delta) rho(m_i)
-            lhs = lincomb(field, (((t, chars2, eps2, chars, eps), c * d)
-                                  for j, c, chars, eps in row
-                                  for t, d, chars2, eps2 in self.coaction[j]))
-            rhs = lincomb(field, (((j, m1[0], m1[2], m2[0], m2[2]), c * d)
-                                  for j, c, chars, eps in row
-                                  for (m1, m2), d in
-                                  alg.delta_monomial(alg.monomial(chars, eps=eps)).terms.items()))
+            lhs = lincomb_raw(field, (((t, chars2, eps2, chars, eps), mul(c, d))
+                                      for j, c, chars, eps in row
+                                      for t, d, chars2, eps2 in rows[j]))
+            rhs = lincomb_raw(field, (((j, m1[0], m1[2], m2[0], m2[2]), mul(c, d._v))
+                                      for j, c, chars, eps in row for (m1, m2), d in
+                                      delta(alg.monomial(chars, eps=eps)).terms.items()))
             if lhs != rhs:
                 key = next(k for k in chain(lhs, rhs) if lhs.get(k) != rhs.get(k))
                 failures.append(("coassociativity", f"row {i} at {key}"))
@@ -168,10 +192,8 @@ class Supercomodule:
         order = sorted(range(self.dim), key=lambda i: self.parities[i])
         pos = {old: new for new, old in enumerate(order)}
         rows = [None] * self.dim
-        for i in range(self.dim):
-            entries = sorted(
-                (pos[j], str(c), list(ch), e) for j, c, ch, e in self.coaction[i]
-            )
+        for i, row in enumerate(self.coaction):
+            entries = sorted((pos[j], str(c), list(ch), e) for j, c, ch, e in row)
             rows[pos[i]] = [list(entry) for entry in entries]
         return {
             "dims": {"even": self.even_dim, "odd": self.odd_dim},
@@ -273,8 +295,8 @@ def socle_vectors(m: Supercomodule):
     hz-component with <x,h> = 0 (those monomials fall outside the coradical)."""
     alg = m.algebra
     system = {}
-    for i in range(m.dim):
-        for j, c, chars, eps in m.coaction[i]:
+    for i, row in enumerate(m.coaction):
+        for j, c, chars, eps in row:
             if eps == 1 and alg.pair_char(chars).is_zero():
                 superlin.add_entry(system, (j, chars), i, c)
     return superlin.kernel_by_parity(system, m.parities, m.field)
@@ -294,8 +316,8 @@ def restrict(m: Supercomodule, vectors):
     targets, columns = [], []
     for s, v in enumerate(basis):
         per_mono = {}
-        for (j, chars, eps), c in m.coact_vector(v).items():
-            per_mono.setdefault((chars, eps), [field.zero()] * m.dim)[j] = c
+        for (j, chars, eps), c in m._coact([x._v for x in v]).items():
+            per_mono.setdefault((chars, eps), [field.zero()] * m.dim)[j] = FieldElement(field, c)
         for (chars, eps), target in per_mono.items():
             targets.append((s, chars, eps))
             columns.append(target)
@@ -307,10 +329,9 @@ def restrict(m: Supercomodule, vectors):
     rows = [[] for _ in basis]
     for q, (s, chars, eps) in enumerate(targets):
         for i, pc in enumerate(pivots):
-            c = reduced[i][k + q]
-            if not c.is_zero():
-                rows[s].append((pc, c, chars, eps))
-    return Supercomodule(m.algebra, tuple(parities), rows), basis
+            c = reduced[i][k + q]._v
+            rows[s].append((pc, c, chars, eps))
+    return Supercomodule._raw(m.algebra, tuple(parities), rows), basis
 
 
 def _comodule_hom_conditions(src: Supercomodule, dst: Supercomodule):
@@ -321,14 +342,15 @@ def _comodule_hom_conditions(src: Supercomodule, dst: Supercomodule):
     and in rho_dst(f(m_i)). The columns are the entries with
     dst.parities[t] == src.parities[j]; the others are zero in an even map."""
     nd, ns = dst.dim, src.dim
+    dst_entries = [(u, t, -c, chars, eps)
+                   for u, row in enumerate(dst.coaction) for t, c, chars, eps in row]
     system = {}
-    for i in range(ns):
-        for j, c, chars, eps in src.coaction[i]:
+    for i, row in enumerate(src.coaction):
+        for j, c, chars, eps in row:
             for t in range(nd):
                 superlin.add_entry(system, (i, t, chars, eps), t * ns + j, c)
-        for u in range(nd):
-            for t, c, chars, eps in dst.coaction[u]:
-                superlin.add_entry(system, (i, t, chars, eps), u * ns + i, -c)
+        for u, t, c, chars, eps in dst_entries:
+            superlin.add_entry(system, (i, t, chars, eps), u * ns + i, c)
     even = [t * ns + j for t in range(nd) for j in range(ns)
             if dst.parities[t] == src.parities[j]]
     return system, even
@@ -381,20 +403,14 @@ class DecompositionResult:
 def _find_line_candidates(m: Supercomodule):
     """(character, parity, vectors) for eigenvector lines rho(v) = v (x) h."""
     alg = m.algebra
-    field = m.field
     out = []
     for h in m.characters_used():
         if not alg.pair_char(h.exps).is_zero():
             continue
-        system = {}
-        for i in range(m.dim):
-            for j, c, chars, eps in m.coaction[i]:
-                superlin.add_entry(system, (j, chars, eps), i, c)
-            # subtract v (x) h
-            superlin.add_entry(system, (i, h.exps, 0), i, -field.one())
+        system = _eigen_system(m, h.exps)
         for parity in (EVEN, ODD):
             idx = [i for i in range(m.dim) if m.parities[i] == parity]
-            vectors = superlin.kernel_on(system, idx, m.dim, field)
+            vectors = superlin.kernel_on(system, idx, m.dim, m.field)
             if vectors:
                 out.append((h, parity, vectors))
     return out
@@ -422,16 +438,17 @@ def coset_projectors(m: Supercomodule):
     as {coset: {(i, j): coefficient of m_j in e_c(m_i)}}, in coset order. The
     coset of <g> in X is keyed by the exponents of its image in X/<g>; e_c
     collects the coaction entries without z whose character lies in c."""
-    alg = m.algebra
+    alg, field = m.algebra, m.field
     quotient = QuotientGroup(alg.group, [alg.g])
     coset, entries = {}, {}
-    for i, row in enumerate(m.coaction):
+    for i, row in enumerate(m._rows):
         for j, c, chars, eps in row:
             if eps == 0:
                 if chars not in coset:
                     coset[chars] = quotient.project(alg.group.character(chars)).exps
                 entries.setdefault(coset[chars], []).append(((i, j), c))
-    return {key: lincomb(m.field, terms) for key, terms in sorted(entries.items())}
+    return {key: {ij: FieldElement(field, c) for ij, c in lincomb_raw(field, terms).items()}
+            for key, terms in sorted(entries.items())}
 
 
 def _coset_blocks(m: Supercomodule):
@@ -471,11 +488,14 @@ def _block_vectors(m: Supercomodule, proj):
 def _to_ambient(vectors, ambient, field):
     """Vectors given in the coordinates of the basis `ambient`, rewritten in
     the coordinates of the space that holds that basis."""
-    out = []
+    ambient = [[x._v for x in row] for row in ambient]
+    zero, out = [field.zero()._v] * len(ambient[0]), []
     for v in vectors:
-        terms = [(c, ambient[i]) for i, c in enumerate(v) if c]
-        out.append([sum((c * row[t] for c, row in terms), start=field.zero())
-                    for t in range(len(ambient[0]))])
+        acc = zero
+        for c, row in zip(v, ambient):
+            if c:
+                acc = field._axpy(acc, c._v, row)
+        out.append([FieldElement(field, x) for x in acc])
     return out
 
 
@@ -576,28 +596,33 @@ def _peel_one(current: Supercomodule):
 
 def _extend_line(m: Supercomodule, h, vec):
     """Solve rho(w) = vec (x) hz + w (x) gh for w; None when non-extendable."""
-    field = m.field
-    gh = (h * m.algebra.g).exps
-    system = {}
-    for j in range(m.dim):
-        for t, c, chars, eps in m.coaction[j]:
-            superlin.add_entry(system, (t, chars, eps), j, c)
-        superlin.add_entry(system, (j, gh, 0), j, -field.one())
+    system = _eigen_system(m, (h * m.algebra.g).exps)
     rhs = {(i, h.exps, 1): vec[i] for i in range(m.dim) if not vec[i].is_zero()}
-    return superlin.solve_on(system, rhs, range(m.dim), m.dim, field)
+    return superlin.solve_on(system, rhs, range(m.dim), m.dim, m.field)
+
+
+def _eigen_system(m: Supercomodule, exps):
+    """The system rho(w) - w (x) h = 0 in w, for the character h with
+    exponents `exps`: one row per (target, character, eps)."""
+    minus_one, system = -m.field.one(), {}
+    for j, row in enumerate(m.coaction):
+        for t, c, chars, eps in row:
+            superlin.add_entry(system, (t, chars, eps), j, c)
+        superlin.add_entry(system, (j, exps, 0), j, minus_one)
+    return system
 
 
 def _verify_decomposition(m, labels, blocks, iso):
-    field = m.field
-    n = m.dim
+    field, n, mul = m.field, m.dim, m.field._prod
     if superlin.rank([row[:] for row in iso], field) != n:
         raise DecompositionError("assembled map is not invertible")
     for label, rows in blocks:
         block = standard_object(m.algebra, label)
+        rows = [[x._v for x in row] for row in rows]
         for b in range(block.dim):
-            rhs = lincomb(field, (((i, chars, eps), rows[t][i] * c)
-                                  for t, c, chars, eps in block.coaction[b] for i in range(n)))
-            if m.coact_vector(rows[b]) != rhs:
+            rhs = lincomb_raw(field, (((i, chars, eps), mul(rows[t][i], c))
+                                      for t, c, chars, eps in block._rows[b] for i in range(n)))
+            if m._coact(rows[b]) != rhs:
                 raise DecompositionError("assembled map is not a comodule morphism")
 
 
@@ -639,53 +664,50 @@ def ext1(algebra: MonomialHopfSuperalgebra, s: IndecompLabel, t: IndecompLabel):
 
 def tensor_comodule(m: Supercomodule, n: Supercomodule) -> Supercomodule:
     """m (x) n with the Koszul-signed tensor coaction."""
+    if n.field is not m.field:
+        raise DescriptorMismatch("the comodules are over different fields")
     alg = m.algebra
-    parities = []
-    for pm in m.parities:
-        for pn in n.parities:
-            parities.append((pm + pn) % 2)
+    parities = [(pm + pn) % 2 for pm in m.parities for pn in n.parities]
+    mul, neg = m.field._prod, m.field._neg
     rows = []
-    for i in range(m.dim):
-        for j in range(n.dim):
+    for row_m in m._rows:
+        for row_n in n._rows:
             row = []
-            for a, c1, ch1, e1 in m.coaction[i]:
-                for b, c2, ch2, e2 in n.coaction[j]:
+            for a, c1, ch1, e1 in row_m:
+                for b, c2, ch2, e2 in row_n:
                     if e1 and e2:
                         continue
-                    val = c1 * c2
+                    val = mul(c1, c2)
                     chars = tuple(p + q for p, q in zip(ch1, ch2))
-                    row.append((a * n.dim + b, -val if e1 and n.parities[b] else val,
+                    row.append((a * n.dim + b, neg(val) if e1 and n.parities[b] else val,
                                 chars, e1 | e2))
             rows.append(row)
-    return Supercomodule(alg, parities, rows)
+    return Supercomodule._raw(alg, parities, rows)
 
 
 def dual_pairing(algebra: MonomialHopfSuperalgebra, h):
     """The canonical pairing between Pi L(h^{-1}) and L(g^{-1} h): verifies it
     is a comodule morphism to the trivial comodule and non-degenerate."""
-    group = algebra.group
-    h = h if not isinstance(h, (list, tuple)) else group.character(h)
-    left = standard_object(algebra, IndecompLabel("L", h.inverse().exps, True))
-    right_char = (algebra.g.inverse() * h).exps
-    right = standard_object(algebra, IndecompLabel("L", right_char, False))
-    field = algebra.field
+    one = algebra.field.one()
     # pairing values on basis pairs (left_i, right_j):
     # <h^{-1}, g^{-1}h z> = <h^{-1} z, g^{-1} h> = 1, others 0
-    values = {(0, 1): field.one(), (1, 0): field.one()}
-    return _check_pairing(left, right, values)
+    return _check_pairing(algebra, h, {(0, 1): one, (1, 0): one})
 
 
-def _check_pairing(left, right, values):
-    alg = left.algebra
-    field = left.field
-    tens = tensor_comodule(left, right)
+def _check_pairing(alg, h, values):
+    """The pairing `values` between Pi L(h^{-1}) and L(g^{-1} h), checked."""
+    h = h if not isinstance(h, (list, tuple)) else alg.group.character(h)
+    left = standard_object(alg, IndecompLabel("L", h.inverse().exps, True))
+    right = standard_object(alg, IndecompLabel("L", (alg.g.inverse() * h).exps, False))
+    field = alg.field
+    tens = tensor_comodule(left, right).coaction
     failures = []
     n = right.dim
     id_key = (alg.group.identity().exps, 0)
     for i in range(left.dim):
         for j in range(right.dim):
             total = lincomb(field, (((chars, eps), c * values[divmod(t, n)])
-                                    for t, c, chars, eps in tens.coaction[i * n + j]
+                                    for t, c, chars, eps in tens[i * n + j]
                                     if divmod(t, n) in values))
             if total.get(id_key, field.zero()) != values.get((i, j), field.zero()):
                 failures.append((i, j, "identity component"))
@@ -704,10 +726,4 @@ def _check_pairing(left, right, values):
 def dual_pairing_tampered(algebra: MonomialHopfSuperalgebra, h):
     """Same pairing with the deliberately wrong value <h^{-1}, g^{-1}h> = 1;
     the morphism check must fail."""
-    group = algebra.group
-    h = h if not isinstance(h, (list, tuple)) else group.character(h)
-    left = standard_object(algebra, IndecompLabel("L", h.inverse().exps, True))
-    right = standard_object(algebra, IndecompLabel("L", (algebra.g.inverse() * h).exps, False))
-    field = algebra.field
-    values = {(0, 0): field.one()}
-    return _check_pairing(left, right, values)
+    return _check_pairing(algebra, h, {(0, 0): algebra.field.one()})

@@ -8,13 +8,14 @@ FunctionField and QuadraticField, and Field.from_json, intern descriptors:
 equal fields are the same object, so an element operation checks its
 operands' field with `is` and delegates to it. Every value is kept in a
 unique canonical form, so equality is a plain representation check.
-Characteristic 2 is rejected at descriptor construction. `lincomb` merges
-sparse coefficients, and `Sparse` is the base of every sparse element type.
+Characteristic 2 is rejected at descriptor construction. `lincomb_raw` merges
+sparse raw coefficients, and `Sparse` is the base of every sparse element type.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import chain
 
@@ -282,7 +283,21 @@ class Field:
 
     # -- raw-value arithmetic ---------------------------------------------------
     def _is_zero(self, a):
-        return a == 0
+        return not a
+
+    _prod = property(lambda self: self._mul)  # the multiply for products bound for a merge
+
+    def _settle(self, sums):
+        """A merge's sums, canonical and without zeros (copied only if needed)."""
+        is_zero = self._is_zero
+        if any(map(is_zero, sums.values())):
+            return {k: v for k, v in sums.items() if not is_zero(v)}
+        return sums
+
+    def _axpy(self, xs, f, ys):
+        """The row update xs + f*ys of an elimination, entry by entry."""
+        add, mul = self._add, self._mul
+        return [add(x, mul(f, y)) for x, y in zip(xs, ys)]
 
     def _prime(self, a):
         """The value in Q or F_p, or None if it is not in the prime field."""
@@ -355,6 +370,19 @@ class PrimeField(Field):
 
     def _inv(self, a):
         return pow(a, -1, self.p)
+
+    # delayed reduction: products bound for a merge stay plain ints until `_settle`
+    _prod = staticmethod(operator.mul)
+
+    def _settle(self, sums):
+        p = self.p
+        if all(map(range(1, p).__contains__, sums.values())):
+            return sums
+        return {k: r for k, v in sums.items() if (r := v % p)}
+
+    def _axpy(self, xs, f, ys):
+        p = self.p
+        return [(x + f * y) % p for x, y in zip(xs, ys)]
 
     def _sqrt(self, a):
         r = _sqrt_mod_p(a, self.p)
@@ -699,33 +727,33 @@ class FieldElement:
         return f"<{self} in {self.field!r}>"
 
 
-def lincomb(field: Field, terms) -> dict:
-    """The sparse linear combination of `terms` as a new dict {key: sum}.
-
-    `terms` is a dict or an iterable of (key, coefficient) pairs. Equal keys
-    are merged; the result keeps first-insertion order and leaves out the
-    zero sums. Every coefficient must be an element of `field`
-    (DescriptorMismatch otherwise). This is the one place where sparse
-    coefficients are merged and zeros dropped.
-    """
-    if isinstance(terms, dict):
-        terms = terms.items()
+def lincomb_raw(field: Field, terms) -> dict:
+    """The sparse linear combination of raw (key, value) pairs as a new dict
+    {key: raw sum}, first-insertion order, zero sums left out: the one place
+    where sparse coefficients are merged (by the kind's `_add` and `_settle`)."""
     out = {}
     get = out.get
     add = field._add
-    for key, c in terms:
-        if type(c) is not FieldElement or c.field is not field:
-            raise DescriptorMismatch(f"coefficient {c!r} is not in {field!r}")
+    for key, v in terms:
         cur = get(key)
-        if cur is None:
-            out[key] = c
-        else:
-            out[key] = FieldElement(field, add(cur._v, c._v))
-    is_zero = field._is_zero
-    for c in out.values():  # copy only when some sum is zero
-        if is_zero(c._v):
-            return {key: c for key, c in out.items() if not is_zero(c._v)}
-    return out
+        out[key] = v if cur is None else add(cur, v)
+    return field._settle(out)
+
+
+def _reject(c, field):
+    raise DescriptorMismatch(f"coefficient {c!r} is not in {field!r}")
+
+
+def lincomb(field: Field, terms) -> dict:
+    """`lincomb_raw` on field elements: `terms` is a dict or an iterable of
+    (key, coefficient) pairs, and every coefficient must be an element of
+    `field` (DescriptorMismatch otherwise). Returns {key: element}."""
+    terms = list(terms.items() if isinstance(terms, dict) else terms)
+    sums = lincomb_raw(field, [(key, c._v) for key, c in terms if type(c) is FieldElement
+                               and c.field is field or _reject(c, field)])
+    if len(sums) == len(terms):  # no key repeated and no zero: the given elements
+        return dict(terms)
+    return {key: FieldElement(field, v) for key, v in sums.items()}
 
 
 class Sparse:

@@ -356,9 +356,16 @@ class SuperElement(Sparse):
                 for (e3, s3), c3 in syms.items():
                     yield (tuple(a + b for a, b in zip(e, e3)), s3), base * c3
 
+    def __truediv__(self, other):
+        """Division by a nonzero field constant; anything else is Unsupported."""
+        c = other.terms.get(((0,) * self.pres.ring.nvars, SYM_ONE))
+        if c is None or len(other.terms) > 1:
+            raise Unsupported(f"division by the superalgebra element {other}")
+        return self.scale(c.inverse())
+
     def __pow__(self, n):
         if n < 0:
-            raise Unsupported(f"negative power of the superalgebra element {self}")
+            return self.pres.one_elem() / self ** -n
         out = self.pres.one_elem()
         for _ in range(n):
             out = out * self

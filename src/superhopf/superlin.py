@@ -9,13 +9,14 @@ keys and zero rows do not matter: the reduced row echelon form depends only on
 the row space. The dense routines (`row_reduce`, `kernel_basis`, `solve`, ...)
 do the elimination on lists of rows; pivoting takes the first nonzero entry.
 Every entry must belong to the `field` argument (else DescriptorMismatch):
-`row_reduce` eliminates on the raw values through the field's underscore
-methods and boxes the result once. All results are exact.
+`row_reduce`, the one elimination, runs on the raw values and boxes the result
+once. Its row update is the field kind's kernel `Field._axpy` (x + f*y entry
+by entry); prime fields reduce each updated entry once. All results are exact.
 """
 
 from __future__ import annotations
 
-from .fields import DescriptorMismatch, Field, FieldElement
+from .fields import Field, FieldElement, _reject
 
 EVEN, ODD = 0, 1
 
@@ -30,12 +31,10 @@ class InconsistentSystem(Exception):
 
 def row_reduce(rows, field: Field):
     """Reduced row echelon form of a copy of `rows`; returns (rows, pivots).
-    Every entry must belong to `field`: the elimination runs on the raw values
-    through the field's underscore methods and boxes the result once."""
-    if any(x.field is not field for row in rows for x in row):
-        raise DescriptorMismatch("entry does not belong to the given field")
-    rows = [[x._v for x in row] for row in rows]
-    is_zero, inv, mul, neg, add = field._is_zero, field._inv, field._mul, field._neg, field._add
+    Every entry must belong to `field`: the elimination runs on the raw values,
+    with `field._axpy` as its row update, and boxes the result once."""
+    rows = [[x._v if x.field is field else _reject(x, field) for x in row] for row in rows]
+    is_zero, inv, mul, neg, axpy = field._is_zero, field._inv, field._mul, field._neg, field._axpy
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots = []
@@ -49,11 +48,11 @@ def row_reduce(rows, field: Field):
         pivot = rows[r] = [mul(x, s) for x in rows[r]]
         for i in range(m):
             if i != r and not is_zero(rows[i][c]):
-                f = neg(rows[i][c])
-                rows[i] = [add(x, mul(f, y)) for x, y in zip(rows[i], pivot)]
+                rows[i] = axpy(rows[i], neg(rows[i][c]), pivot)
         pivots.append(c)
         r += 1
-    return [[FieldElement(field, x) for x in row] for row in rows], pivots
+    zero = field.zero()  # a falsy raw value is zero in every field kind
+    return [[FieldElement(field, x) if x else zero for x in row] for row in rows], pivots
 
 
 def rank(rows, field: Field) -> int:

@@ -225,6 +225,20 @@ def test_hochschild_cli(tmp_path, capsys):
     assert code == 1 and not report["split"]
 
 
+def test_hochschild_alpha_field_constants_cli(tmp_path, capsys):
+    """--alpha may divide by a field constant or invert one: x/2 reports as
+    2^-1*x and 2*x over F_3(t), t^-1*x as x/t; x/y and x^-1 still exit 2."""
+    reports = {}
+    for alpha in ("x/2", "2^-1*x", "2*x", "t^-1*x", "x/t"):
+        code, reports[alpha] = run(tmp_path, capsys, ["hochschild", "--p", "3", "--alpha", alpha])
+        assert code == 0 and reports[alpha]["split"] and reports[alpha]["section_verified"]
+    assert reports["x/2"] == reports["2^-1*x"] == reports["2*x"]
+    assert reports["t^-1*x"] == reports["x/t"] != reports["x/2"]
+    for alpha in ("x/y", "x^-1"):
+        code, report = run(tmp_path, capsys, ["hochschild", "--p", "3", "--alpha", alpha])
+        assert code == 2 and report["error"].startswith("Unsupported")
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -413,24 +415,36 @@ def _perturbed(m, kind, rng):
     return Supercomodule(m.algebra, m.parities, rows)
 
 
+def _pinned_validate_witnesses():
+    """validate() of each perturbed input below, in order, as captured from
+    the engine before its coaction was stored raw: (law, "row i at key")."""
+    with open(os.path.join(os.path.dirname(__file__), "data", "validate_witnesses.json")) as fh:
+        return [[tuple(f) for f in failures] for failures in json.load(fh)]
+
+
 def test_decompose_invalid_input_reports_validate_witnesses():
+    """decompose reports the first three validate() witnesses, and validate()
+    gives the pinned witnesses, strings and order included."""
     rng = random.Random(13)
     # the F_5 cases: mu4 with g = 1 and g = chi^2, mu5 with x != 0
     bases = [scramble(_standard_sum(alg, labels), rng) for alg, labels, entry in
              _multi_block_cases() if entry is None]
     assert len(bases) == 3
+    seen = []
     for m in bases:
         for kind in ("changed", "dropped", "added"):
             checked = 0
             while checked < 4:
                 bad = _perturbed(m, kind, rng)
                 failures = bad.validate()
+                seen.append(failures)
                 if not failures:
                     continue
                 with pytest.raises(DecompositionError) as info:
                     decompose(bad)
                 assert str(info.value) == f"not a comodule: {failures[:3]}"
                 checked += 1
+    assert seen == _pinned_validate_witnesses()
     # S(1) + S(2) in the basis a = u1 + u2 (even), b = u2 (odd): counit and
     # coassociativity hold, only the parity of the coaction fails
     alg = algebra_mu4(g_exp=0)

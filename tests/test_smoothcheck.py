@@ -70,8 +70,8 @@ def test_polynomial_division_by_constants_only(field):
 
 @pytest.mark.parametrize("field", [Q, FunctionField(5, "t")], ids=["Q", "F5(t)"])
 def test_negative_powers(field):
-    """A negative power of a polynomial inverts a nonzero constant and is
-    refused otherwise; superalgebra elements have no inverse at all."""
+    """A negative power of a polynomial or a superalgebra element inverts a
+    nonzero field constant and is refused otherwise."""
     ring = PolyRing(field, ("x", "y"))
     x = ring.gen(0)
     assert ring.parse("2^-1*x") == ring.parse("x/2") == x * field.from_int(2).inverse()
@@ -84,11 +84,30 @@ def test_negative_powers(field):
     with pytest.raises(DivisionByZero):
         ring.parse("(x - x)^-1")
     pres = SuperAlgebraPresentation(field, ("x",), [], ("z",))
-    for src in ("x^-1", "(1+1)^-1"):
+    half = pres.one_elem().scale(field.from_int(2).inverse())
+    assert pres.parse_element("(1+1)^-1") == pres.parse_element("1/2") == half
+    for src in ("x^-1", "z^-1", "(1+x)^-1", "(x - x)^-1", "1/0"):
         with pytest.raises(Unsupported):
             pres.parse_element(src)
     with pytest.raises(Unsupported):
         hochschild_ealpha(3, "x^-1")
+
+
+def test_hochschild_alpha_field_constants():
+    """A field constant in alpha may be divided by or raised to a negative
+    power: x/2 and 2^-1*x are 2x over F_3(t), and t^-1*x is x/t. Division by
+    anything but a nonzero constant stays refused."""
+    reports = {src: hochschild_ealpha(3, src) for src in ("x/2", "2^-1*x", "2*x", "t^-1*x", "x/t")}
+    assert reports["x/2"] == reports["2^-1*x"] == reports["2*x"]
+    assert reports["t^-1*x"] == reports["x/t"]
+    assert reports["x/t"].witness != hochschild_ealpha(3, "x").witness
+    assert reports["x/t"].split and reports["x/t"].section_verified
+    pres = hochschild_extension_presentation(3, 0)
+    x, t = pres.var_elem(0), pres.field.generator()
+    assert pres.parse_element("t^-1*x") == x.scale(t.inverse()) == pres.parse_element("x/t")
+    for src in ("x/y", "x^-1", "x/(t*y)", "x/nu", "x/0"):
+        with pytest.raises(Unsupported):
+            hochschild_ealpha(3, src)
 
 
 def test_polynomial_rank():

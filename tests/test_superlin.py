@@ -3,7 +3,10 @@ import random
 import pytest
 
 from superhopf import superlin
+from superhopf.chargroup import GroupDescriptor, LieFunctional
+from superhopf.dgxrep import Supercomodule, tensor_comodule
 from superhopf.fields import GF, QQ, DescriptorMismatch, FunctionField, QuadraticField
+from superhopf.hopfcore import build_algebra
 from superhopf.superlin import EVEN, ODD, InconsistentSystem
 
 
@@ -101,8 +104,11 @@ def test_solve_round_trip_randomized():
     assert superlin.solve_on({}, {"no such row": Q.one()}, [0, 1], 3, Q) is None
 
 
-ELIMINATION_FIELDS = [QQ(), GF(3), GF(5), FunctionField(5, "t"), FunctionField(3, "t"),
-                      FunctionField(0, "t"), QuadraticField(-1), QuadraticField(2)]
+# GF(101) and GF(2147483647) give large residues, so a row update or a merge
+# that left out its final reduction mod p would show
+ELIMINATION_FIELDS = [QQ(), GF(3), GF(5), GF(101), GF(2147483647), FunctionField(5, "t"),
+                      FunctionField(3, "t"), FunctionField(0, "t"), QuadraticField(-1),
+                      QuadraticField(2)]
 
 
 def _reference_row_reduce(rows, field):
@@ -162,6 +168,60 @@ def test_row_reduce_matches_boxed_reference(field):
         assert all(x.field is field for row in reduced for x in row)
         ranks.add(len(pivots))
     assert ranks >= {0, 1, 2, 4}
+
+
+def _reference_coact_vector(m, vec):
+    """rho(sum vec_i m_i) accumulated on boxed field elements from the boxed
+    coaction, zero sums left out."""
+    field = m.field
+    out = {}
+    for c, row in zip(vec, m.coaction):
+        for j, d, chars, eps in row:
+            out[(j, chars, eps)] = out.get((j, chars, eps), field.zero()) + c * d
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=repr)
+def test_coact_vector_matches_boxed_reference(field):
+    """The stored rows and coact_vector, which merge raw values, agree with
+    boxed accumulation on random coaction tables (repeated entries and
+    cancellations included), on the zero vector and on a dim-0 comodule; an
+    entry or a comodule from another field is refused."""
+    rng = random.Random(41)
+    mu4 = GroupDescriptor(0, (4,))
+    alg = build_algebra(field, mu4, mu4.character([2]), LieFunctional.zero(mu4, field))
+    zero, other = field.zero(), GF(7)
+    empty = Supercomodule(alg, (), [])
+    assert empty.coaction == () and empty.coact_vector([]) == {}
+    for _ in range(12):
+        n = rng.randint(1, 5)
+        table = []
+        for _ in range(n):
+            row = [(rng.randrange(n), field.random(rng), (rng.randrange(4),), rng.randrange(2))
+                   for _ in range(rng.randint(0, 8))]
+            row += [(j, -c, ch, e) for j, c, ch, e in rng.sample(row, len(row) // 3)]
+            table.append(row)
+        m = Supercomodule(alg, [rng.randrange(2) for _ in range(n)], table)
+        for row, stored in zip(table, m.coaction):
+            merged = {}
+            for j, c, ch, e in row:
+                merged[(j, ch, e)] = merged.get((j, ch, e), zero) + c
+            assert stored == tuple((j, c, ch, e) for (j, ch, e), c in sorted(merged.items())
+                                   if not c.is_zero())
+        for vec in ([zero] * n, [field.random(rng) for _ in range(n)],
+                    [field.random(rng) if rng.random() < 0.5 else zero for _ in range(n)]):
+            got = m.coact_vector(vec)
+            assert got == _reference_coact_vector(m, vec)
+            assert all(c.field is field and not c.is_zero() for c in got.values())
+        assert m.coact_vector([zero] * n) == {}
+        with pytest.raises(DescriptorMismatch):
+            m.coact_vector([other.one()] + [zero] * (n - 1))
+    # raw values of two fields never meet
+    alg7 = build_algebra(other, mu4, mu4.identity(), LieFunctional.zero(mu4, other))
+    stranger = Supercomodule(alg7, (0,), [[(0, other.one(), (0,), 0)]])
+    for combine in (m.direct_sum, lambda s: tensor_comodule(m, s)):
+        with pytest.raises(DescriptorMismatch):
+            combine(stranger)
 
 
 def test_row_reduce_rejects_entries_of_another_field():
