@@ -402,12 +402,12 @@ class DecompositionResult:
 
 def _find_line_candidates(m: Supercomodule):
     """(character, parity, vectors) for eigenvector lines rho(v) = v (x) h."""
-    alg = m.algebra
+    alg, coaction = m.algebra, m.coaction
     out = []
     for h in m.characters_used():
         if not alg.pair_char(h.exps).is_zero():
             continue
-        system = _eigen_system(m, h.exps)
+        system = _eigen_system(coaction, h.exps, m.field)
         for parity in (EVEN, ODD):
             idx = [i for i in range(m.dim) if m.parities[i] == parity]
             vectors = superlin.kernel_on(system, idx, m.dim, m.field)
@@ -596,16 +596,16 @@ def _peel_one(current: Supercomodule):
 
 def _extend_line(m: Supercomodule, h, vec):
     """Solve rho(w) = vec (x) hz + w (x) gh for w; None when non-extendable."""
-    system = _eigen_system(m, (h * m.algebra.g).exps)
+    system = _eigen_system(m.coaction, (h * m.algebra.g).exps, m.field)
     rhs = {(i, h.exps, 1): vec[i] for i in range(m.dim) if not vec[i].is_zero()}
     return superlin.solve_on(system, rhs, range(m.dim), m.dim, m.field)
 
 
-def _eigen_system(m: Supercomodule, exps):
-    """The system rho(w) - w (x) h = 0 in w, for the character h with
-    exponents `exps`: one row per (target, character, eps)."""
-    minus_one, system = -m.field.one(), {}
-    for j, row in enumerate(m.coaction):
+def _eigen_system(coaction, exps, field):
+    """The system rho(w) - w (x) h = 0 in w, from a boxed `coaction`, for the
+    character h with exponents `exps`: one row per (target, character, eps)."""
+    minus_one, system = -field.one(), {}
+    for j, row in enumerate(coaction):
         for t, c, chars, eps in row:
             superlin.add_entry(system, (t, chars, eps), j, c)
         superlin.add_entry(system, (j, exps, 0), j, minus_one)

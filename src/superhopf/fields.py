@@ -371,7 +371,7 @@ class PrimeField(Field):
     def _inv(self, a):
         return pow(a, -1, self.p)
 
-    # delayed reduction: products bound for a merge stay plain ints until `_settle`
+    # delayed reduction: a product bound for a merge is reduced by its add or `_settle`
     _prod = staticmethod(operator.mul)
 
     def _settle(self, sums):
