@@ -2,14 +2,16 @@
 
 Each field kind is a `Field` subclass that owns the arithmetic on its raw
 values: a Fraction for Q, a reduced residue for F_p, a reduced pair of
-coefficient tuples (numerator, monic denominator) for F_p(t) / Q(t), and a
-rational pair a + b*sqrt(d) for Q(sqrt(d)). The factories QQ, GF,
-FunctionField and QuadraticField, and Field.from_json, intern descriptors:
-equal fields are the same object, so an element operation checks its
-operands' field with `is` and delegates to it. Every value is kept in a
-unique canonical form, so equality is a plain representation check.
-Characteristic 2 is rejected at descriptor construction. `lincomb_raw` merges
-sparse raw coefficients, and `Sparse` is the base of every sparse element type.
+coefficient tuples (numerator, monic denominator) for F_p(t) / Q(t), added
+and multiplied by Henrici's method with no gcd when both denominators are 1,
+and an integer triple (a, b, n) for (a + b*sqrt(d))/n in Q(sqrt(d)), with
+n > 0 and gcd(a, b, n) = 1. The factories QQ, GF, FunctionField and
+QuadraticField, and Field.from_json, intern descriptors: equal fields are the
+same object, so an element operation checks its operands' field with `is`
+and delegates to it. Every value is kept in a unique canonical form, so
+equality is a plain representation check. Characteristic 2 is rejected at
+descriptor construction. `lincomb_raw` merges sparse raw coefficients, and
+`Sparse` is the base of every sparse element type.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def _padd(a, b, p):
 
 
 def _pneg(a, p):
-    return _pnorm([-x for x in a], p)
+    return _pscale(a, -1, p)
 
 
 def _pmul(a, b, p):
@@ -93,15 +95,16 @@ def _pmul(a, b, p):
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _pnorm(out, p)
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    # the leading coefficient is a product of nonzero ones: nothing to trim
+    return tuple([x % p for x in out]) if p else tuple(out)
 
 
 def _pscale(a, s, p):
-    return _pnorm([x * s for x in a], p)
+    """`a` times the nonzero constant `s`."""
+    return tuple([x * s % p for x in a]) if p else tuple([x * s for x in a])
 
 
 def _cinv(x, p):
@@ -110,35 +113,66 @@ def _cinv(x, p):
     return Fraction(1) / x
 
 
+def _prem(a, b, p, q=None):
+    """Reduce the residue list `a` modulo `b` in place over F_p, one `% p` per
+    updated coefficient; the quotient goes into the list `q` when given."""
+    nl = len(b) - 1
+    inv_lead, low = pow(b[-1], -1, p), b[:-1]
+    for d in range(len(a) - nl - 1, -1, -1):
+        s = a[d + nl] * inv_lead % p
+        if s:
+            if q is not None:
+                q[d] = s
+            for i, y in enumerate(low, d):
+                a[i] = (a[i] - s * y) % p
+    del a[nl:]
+    while a and not a[-1]:
+        a.pop()
+
+
 def poly_divmod(a, b, p):
-    """Quotient and remainder of coefficient tuples (low degree first, `b`
-    without trailing zeros). Coefficients are residues mod p when p > 0; when
-    p == 0 they may be Fractions or elements of any Field."""
+    """Quotient and remainder of coefficient tuples (low degree first, without
+    trailing zeros). When p > 0 the coefficients are reduced residues mod p
+    and `_prem` divides; when p == 0 they may be Fractions or elements of any
+    Field."""
     if not b:
         raise DivisionByZero("polynomial division by zero")
     a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = _cinv(b[-1], p)
-    while len(a) >= len(b):
-        while a and not (a[-1] % p if p else a[-1]):
+    nb = len(b)
+    q = [0] * max(0, len(a) - nb + 1)
+    if p:
+        _prem(a, b, p, q)
+        return tuple(q), tuple(a)
+    inv_lead = Fraction(1) / b[-1]
+    while len(a) >= nb:
+        while a and not a[-1]:
             a.pop()
-        if len(a) < len(b):
+        if len(a) < nb:
             break
-        s = (a[-1] * inv_lead) % p if p else a[-1] * inv_lead
-        d = len(a) - len(b)
+        s = a[-1] * inv_lead
+        d = len(a) - nb
         q[d] = s
         for i, y in enumerate(b):
             a[i + d] -= s * y
         a.pop()
-    return _pnorm(q, p), _pnorm(a, p)
+    return _pnorm(q, 0), _pnorm(a, 0)
 
 
 def _pgcd(a, b, p):
-    while b:
-        a, b = b, poly_divmod(a, b, p)[1]
-    if a:
-        a = _pscale(a, _cinv(a[-1], p), p)
-    return a
+    """The monic gcd by Euclid's algorithm; over F_p on remainders only."""
+    if len(a) == 1 or len(b) == 1:  # a nonzero constant
+        return (1,)
+    if p:
+        a, b = list(a), list(b)
+        while b:
+            _prem(a, b, p)
+            a, b = b, a
+    else:
+        while b:
+            a, b = b, poly_divmod(a, b, p)[1]
+    if a and a[-1] != 1:
+        return _pscale(a, _cinv(a[-1], p), p)
+    return tuple(a)
 
 
 def _pstr(c, var):
@@ -390,7 +424,8 @@ class PrimeField(Field):
 
 
 class RationalFunctionField(Field):
-    """F_p(t), or Q(t) when p == 0; coefficients are ints mod p or Fractions."""
+    """F_p(t), or Q(t) when p == 0; coefficients are ints mod p or Fractions
+    (over Q(t) an int may stand for an equal Fraction)."""
 
     __slots__ = ()
     kind = "Fpt"
@@ -445,6 +480,8 @@ class RationalFunctionField(Field):
         if len(g) > 1:
             num = poly_divmod(num, g, p)[0]
             den = poly_divmod(den, g, p)[0]
+        if den[-1] == 1:
+            return (num, den)
         lead = _cinv(den[-1], p)
         return (_pscale(num, lead, p), _pscale(den, lead, p))
 
@@ -452,15 +489,46 @@ class RationalFunctionField(Field):
         return not a[0]
 
     def _add(self, a, b):
+        """Henrici's sum (Knuth, TAOCP vol. 2, 4.5.1): with g = gcd(ad, bd) the
+        sum is t/(ad/g * bd) for t = an*(bd/g) + bn*(ad/g), and only gcd(t, g) cancels."""
         (an, ad), (bn, bd), p = a, b, self.p
-        return self._reduce(_padd(_pmul(an, bd, p), _pmul(bn, ad, p), p), _pmul(ad, bd, p))
+        if not an:
+            return b
+        if not bn:
+            return a
+        if ad == bd:
+            if len(ad) == 1:  # both denominators are 1
+                return (_padd(an, bn, p), ad)
+            return self._reduce(_padd(an, bn, p), ad)
+        g = _pgcd(ad, bd, p)
+        if len(g) == 1:  # coprime denominators: the sum is already reduced
+            return (_padd(_pmul(an, bd, p), _pmul(bn, ad, p), p), _pmul(ad, bd, p))
+        # a + b is not zero here: reduced values with unequal denominators differ
+        ad_g, bd_g = poly_divmod(ad, g, p)[0], poly_divmod(bd, g, p)[0]
+        num = _padd(_pmul(an, bd_g, p), _pmul(bn, ad_g, p), p)
+        g2 = _pgcd(num, g, p)
+        if len(g2) > 1:
+            num, bd = poly_divmod(num, g2, p)[0], poly_divmod(bd, g2, p)[0]
+        return (num, _pmul(ad_g, bd, p))
 
     def _neg(self, a):
         return (_pneg(a[0], self.p), a[1])
 
     def _mul(self, a, b):
+        """Cross-cancelled product: the factors are reduced, so gcd(an, bd)
+        and gcd(bn, ad) are all that can cancel; monic over monic is monic."""
         (an, ad), (bn, bd), p = a, b, self.p
-        return self._reduce(_pmul(an, bn, p), _pmul(ad, bd, p))
+        if not an or not bn:
+            return ((), (self._one_coeff(),))
+        if len(ad) == 1 and len(bd) == 1:
+            return (_pmul(an, bn, p), ad)
+        g = _pgcd(an, bd, p)
+        if len(g) > 1:
+            an, bd = poly_divmod(an, g, p)[0], poly_divmod(bd, g, p)[0]
+        g = _pgcd(bn, ad, p)
+        if len(g) > 1:
+            bn, ad = poly_divmod(bn, g, p)[0], poly_divmod(ad, g, p)[0]
+        return (_pmul(an, bn, p), _pmul(ad, bd, p))
 
     def _inv(self, a):
         return self._reduce(a[1], a[0])
@@ -490,7 +558,9 @@ class RationalFunctionField(Field):
 
 
 class QuadraticExtension(Field):
-    """Q(sqrt(d)); raw values are rational pairs (a, b) for a + b*sqrt(d)."""
+    """Q(sqrt(d)); raw values are integer triples (a, b, n) for (a + b*sqrt(d))/n
+    with n > 0 and gcd(a, b, n) == 1, so zero is (0, 0, 1). Fractions appear
+    only at the edges: `from_fraction`, `prime_value`, `prime_field_rows`, `str`."""
 
     __slots__ = ()
     kind = "Qsqrt"
@@ -502,19 +572,19 @@ class QuadraticExtension(Field):
         return {"kind": "Qsqrt", "d": self.d}
 
     def from_int(self, n: int) -> "FieldElement":
-        return FieldElement(self, (Fraction(n), Fraction(0)))
+        return FieldElement(self, (n, 0, 1))
 
     def from_fraction(self, q: Fraction) -> "FieldElement":
-        return FieldElement(self, (Fraction(q), Fraction(0)))
+        q = Fraction(q)
+        return FieldElement(self, (q.numerator, 0, q.denominator))
 
     def generator(self) -> "FieldElement":
-        return FieldElement(self, (Fraction(0), Fraction(1)))
+        return FieldElement(self, (0, 1, 1))
 
     def random(self, rng) -> "FieldElement":
-        return FieldElement(
-            self,
-            (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-3, 3))),
-        )
+        a = rng.randint(-4, 4)
+        n = rng.randint(1, 3)
+        return FieldElement(self, self._norm(a, rng.randint(-3, 3) * n, n))
 
     def _parse_names(self):
         def _sqrt(arg):
@@ -525,28 +595,41 @@ class QuadraticExtension(Field):
         return {}, {"sqrt": _sqrt}
 
     def prime_field_rows(self, values):
-        return [[v._v[0] for v in values], [v._v[1] for v in values]]
+        return [[Fraction(v._v[0], v._v[2]) for v in values],
+                [Fraction(v._v[1], v._v[2]) for v in values]]
 
-    def _is_zero(self, a):
-        return a == (0, 0)
+    @staticmethod
+    def _norm(a, b, n):
+        """The canonical triple of (a + b*sqrt(d))/n, n nonzero."""
+        if n == 1:
+            return (a, b, 1)
+        if n < 0:
+            a, b, n = -a, -b, -n
+        g = math.gcd(a, b, n)
+        return (a // g, b // g, n // g)
+
+    def _is_zero(self, x):
+        return not (x[0] or x[1])
 
     def _add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
+        (a, b, n), (c, e, m) = x, y
+        if n == m:
+            return self._norm(a + c, b + e, n)
+        return self._norm(a * m + c * n, b * m + e * n, n * m)
 
     def _neg(self, x):
-        return (-x[0], -x[1])
+        return (-x[0], -x[1], x[2])
 
     def _mul(self, x, y):
-        (a, b), (c, e) = x, y
-        return (a * c + b * e * self.d, a * e + b * c)
+        (a, b, n), (c, e, m) = x, y
+        return self._norm(a * c + b * e * self.d, a * e + b * c, n * m)
 
     def _inv(self, x):
-        a, b = x
-        norm = a * a - b * b * self.d
-        return (a / norm, -b / norm)
+        a, b, n = x
+        return self._norm(n * a, -n * b, a * a - b * b * self.d)
 
     def _prime(self, x):
-        return x[0] if x[1] == 0 else None
+        return Fraction(x[0], x[2]) if x[1] == 0 else None
 
     def _sqrt(self, x):
         q = self._prime(x)
@@ -561,7 +644,7 @@ class QuadraticExtension(Field):
         return None
 
     def _str(self, x):
-        a, b = x
+        a, b = Fraction(x[0], x[2]), Fraction(x[1], x[2])
         if b == 0:
             return str(a)
         bs = f"sqrt({self.d})" if b == 1 else f"{b}*sqrt({self.d})"

@@ -51,8 +51,8 @@ def row_reduce(rows, field: Field):
                 rows[i] = axpy(rows[i], neg(rows[i][c]), pivot)
         pivots.append(c)
         r += 1
-    zero = field.zero()  # a falsy raw value is zero in every field kind
-    return [[FieldElement(field, x) if x else zero for x in row] for row in rows], pivots
+    zero = field.zero()  # every zero entry is this one shared element
+    return [[zero if is_zero(x) else FieldElement(field, x) for x in row] for row in rows], pivots
 
 
 def rank(rows, field: Field) -> int:

@@ -2,7 +2,9 @@
 
 None of these share logic with the code paths they validate: squares are
 decided by integer square roots or by squaring every residue, separability
-by a Euclid gcd on plain int / Fraction coefficient lists, comodule
+by a Euclid gcd on plain int / Fraction coefficient lists, rational-function
+and quadratic-extension arithmetic by reducing full cross products on every
+operation and by pairs of Fractions, comodule
 decompositions by enumerating line closures over a finite field, and
 extension spaces by solving for all perturbed coactions modulo change of
 splitting. The last two run over F_p only and eliminate with their own
@@ -69,6 +71,148 @@ def is_separable(coeffs, p: int) -> bool:
     while b:
         a, b = b, _remainder(a, b, p)
     return len(a) == 1
+
+
+# ---------------------------------------------------------------------------
+# reference arithmetic of F_p(t) / Q(t) (p == 0) and Q(sqrt(d)). A rational
+# function is a pair of coefficient tuples (numerator, monic denominator),
+# low degree first: every operation forms the full cross products and reduces
+# them by a Euclid gcd. An element of Q(sqrt(d)) is a pair of Fractions
+# (a, b) for a + b*sqrt(d).
+
+
+def _one(p):
+    return 1 if p else Fraction(1)
+
+
+def _inverse(x, p):
+    return pow(x, -1, p) if p else 1 / Fraction(x)
+
+
+def _poly_add(a, b, p):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _trim([x + y for x, y in zip(a, b)], p)
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out, p)
+
+
+def _poly_quotient(a, b, p):
+    """Exact quotient a / b (b divides a)."""
+    a, q = list(a), [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = a[k + len(b) - 1] * _inverse(b[-1], p)
+        for i, y in enumerate(b):
+            a[k + i] -= q[k] * y
+    assert not _trim(a, p), "inexact polynomial division"
+    return _trim(q, p)
+
+
+def poly_gcd(a, b, p):
+    """The monic gcd of two coefficient sequences, as a tuple."""
+    a, b = _trim(a, p), _trim(b, p)
+    while b:
+        a, b = b, _remainder(a, b, p)
+    s = _inverse(a[-1], p) if a else 0
+    return tuple(_trim([x * s for x in a], p))
+
+
+def ratfun_reduce(num, den, p):
+    num, den = _trim(num, p), _trim(den, p)
+    if not num:
+        return (), (_one(p),)
+    g = poly_gcd(num, den, p)
+    num, den = _poly_quotient(num, g, p), _poly_quotient(den, g, p)
+    s = _inverse(den[-1], p)
+    return tuple(_trim([x * s for x in num], p)), tuple(_trim([x * s for x in den], p))
+
+
+def ratfun_add(x, y, p):
+    (a, b), (c, d) = x, y
+    return ratfun_reduce(_poly_add(_poly_mul(a, d, p), _poly_mul(c, b, p), p), _poly_mul(b, d, p), p)
+
+
+def ratfun_neg(x, p):
+    return ratfun_reduce([-c for c in x[0]], x[1], p)
+
+
+def ratfun_mul(x, y, p):
+    return ratfun_reduce(_poly_mul(x[0], y[0], p), _poly_mul(x[1], y[1], p), p)
+
+
+def ratfun_inv(x, p):
+    return ratfun_reduce(x[1], x[0], p)
+
+
+def ratfun_prime(x, p):
+    """The value in Q or F_p, or None for a non-constant."""
+    num, den = x
+    if len(num) > 1 or den != (_one(p),):
+        return None
+    return num[0] if num else 0 * _one(p)
+
+
+def ratfun_prime_rows(values, p):
+    """Numerator coefficients of each value times the product of all the
+    denominators: one row per degree, one column per value."""
+    common = (_one(p),)
+    for _, den in values:
+        common = _poly_mul(common, den, p)
+    nums = [_poly_mul(num, _poly_quotient(common, den, p), p) for num, den in values]
+    deg = max([1] + [len(num) for num in nums])
+    return [[num[i] if i < len(num) else 0 for num in nums] for i in range(deg)]
+
+
+def _poly_str(coeffs, var):
+    terms = []
+    for i in reversed(range(len(coeffs))):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        power = "" if i == 0 else var if i == 1 else f"{var}^{i}"
+        if not power:
+            terms.append(str(c))
+        else:
+            terms.append(power if c == 1 else f"{c}*{power}")
+    return "+".join(terms).replace("+-", "-") if terms else "0"
+
+
+def ratfun_str(x, p, var):
+    num, den = x
+    if den == (_one(p),):
+        return _poly_str(num, var)
+    return f"({_poly_str(num, var)})/({_poly_str(den, var)})"
+
+
+def qsqrt_mul(x, y, d):
+    (a, b), (c, e) = x, y
+    return a * c + b * e * d, a * e + b * c
+
+
+def qsqrt_inv(x, d):
+    a, b = x
+    norm = a * a - b * b * d
+    return a / norm, -b / norm
+
+
+def qsqrt_str(x, d):
+    a, b = x
+    if b == 0:
+        return str(a)
+    root = f"sqrt({d})" if b == 1 else f"{b}*sqrt({d})"
+    return root if a == 0 else f"{a}+{root}".replace("+-", "-")
+
+
+def qsqrt_is_square(q: Fraction, d: int) -> bool:
+    """Whether the rational q is a square in Q(sqrt(d))."""
+    return (rational_is_square(q.numerator, q.denominator)
+            or rational_is_square((q / d).numerator, (q / d).denominator))
 
 
 # ---------------------------------------------------------------------------

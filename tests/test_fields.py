@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from fractions import Fraction
 from itertools import chain
@@ -9,6 +10,7 @@ from superhopf.fields import (
     DescriptorMismatch,
     DivisionByZero,
     Field,
+    FieldElement,
     FieldError,
     FunctionField,
     GF,
@@ -22,6 +24,7 @@ from superhopf.chargroup import GroupDescriptor, LieFunctional
 from superhopf.hopfcore import HopfElement, TensorElement, build_algebra
 from superhopf.smoothcheck import Polynomial, PolyRing, SuperAlgebraPresentation, SuperElement
 
+import oracles
 from oracles import mod_p_squares, rational_is_square
 
 ALL_FIELDS = [QQ(), GF(5), GF(3), FunctionField(5, "t"), FunctionField(0, "t"), QuadraticField(-1), QuadraticField(2)]
@@ -233,6 +236,148 @@ def test_quadratic_ops_match_rational_pairs(d):
         assert a.is_zero() == (x == (0, 0))
         if y != (0, 0):
             assert a / b == _qsqrt(K, *_qsqrt_ref("div", x, y, d))
+
+
+class _RatFunRef:
+    """The reference arithmetic of F_p(t) / Q(t) on canonical pairs of
+    coefficient tuples, which are also the engine's raw values."""
+
+    def __init__(self, field):
+        self.field, self.p = field, field.p
+        t = (0, 1)
+        # small monic factors, so that denominators share factors often
+        self.factors = [t, (1, 1), (2, 1), (1, 0, 1), (1, 1, 1)]
+
+    def draw(self, rng):
+        p = self.p
+        coeff = (lambda: rng.randrange(p)) if p else (lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        num = [coeff() for _ in range(rng.randint(0, 3))]
+        den = (1,)
+        for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+            den = oracles._poly_mul(den, rng.choice(self.factors), p)
+        return oracles.ratfun_reduce(num, den, p)
+
+    def element(self, v):
+        return FieldElement(self.field, v)
+
+    def value(self, e):
+        return e._v
+
+    def zero(self):
+        return oracles.ratfun_reduce([], [1], self.p)
+
+    add = lambda self, x, y: oracles.ratfun_add(x, y, self.p)
+    neg = lambda self, x: oracles.ratfun_neg(x, self.p)
+    mul = lambda self, x, y: oracles.ratfun_mul(x, y, self.p)
+    inv = lambda self, x: oracles.ratfun_inv(x, self.p)
+    prime = lambda self, x: oracles.ratfun_prime(x, self.p)
+    rows = lambda self, xs: oracles.ratfun_prime_rows(xs, self.p)
+    text = lambda self, x: oracles.ratfun_str(x, self.p, self.field.var)
+
+    def is_square(self, q):
+        if self.p:
+            return q in mod_p_squares(self.p)
+        return rational_is_square(q.numerator, q.denominator)
+
+    def assert_canonical(self, e):
+        num, den = e._v
+        p = self.p
+        assert type(num) is tuple and type(den) is tuple
+        assert den and den[-1] == 1 and (not num or num[-1] != 0)
+        if p:
+            assert all(type(c) is int and 0 <= c < p for c in num + den)
+        assert oracles.poly_gcd(num, den, p) == (1,) if num else den == (1,)
+
+
+class _QsqrtRef:
+    """The reference arithmetic of Q(sqrt(d)) on pairs of Fractions."""
+
+    def __init__(self, field):
+        self.field, self.d = field, field.d
+
+    def draw(self, rng):
+        def part():
+            if rng.random() < 0.25:
+                return Fraction(0)
+            return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6)))
+
+        return part(), part()
+
+    def element(self, v):
+        a, b = v
+        n = math.lcm(a.denominator, b.denominator)
+        return FieldElement(self.field, (int(a * n), int(b * n), n))
+
+    def value(self, e):
+        a, b, n = e._v
+        return Fraction(a, n), Fraction(b, n)
+
+    def zero(self):
+        return Fraction(0), Fraction(0)
+
+    add = lambda self, x, y: (x[0] + y[0], x[1] + y[1])
+    neg = lambda self, x: (-x[0], -x[1])
+    mul = lambda self, x, y: oracles.qsqrt_mul(x, y, self.d)
+    inv = lambda self, x: oracles.qsqrt_inv(x, self.d)
+    prime = lambda self, x: x[0] if x[1] == 0 else None
+    rows = lambda self, xs: [[x[0] for x in xs], [x[1] for x in xs]]
+    text = lambda self, x: oracles.qsqrt_str(x, self.d)
+    is_square = lambda self, q: oracles.qsqrt_is_square(q, self.d)
+
+    def assert_canonical(self, e):
+        a, b, n = e._v
+        assert type(a) is int and type(b) is int and type(n) is int
+        assert n > 0 and math.gcd(a, b, n) == 1
+
+
+REFERENCE_FIELDS = [FunctionField(5, "t"), FunctionField(3, "t"), FunctionField(7, "u"),
+                    FunctionField(0, "t"), QuadraticField(-1), QuadraticField(2), QuadraticField(-5)]
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
+def test_exact_field_kernels_match_reference(field):
+    """F_p(t), Q(t) and Q(sqrt(d)) arithmetic against `tests/oracles.py`, by
+    value and in canonical form, on random operands with shared and with
+    cancelling denominators."""
+    ref = (_RatFunRef if field.kind == "Fpt" else _QsqrtRef)(field)
+    rng = random.Random(f"{field!r}")
+    values = [ref.draw(rng) for _ in range(24)] + [ref.zero()]
+    pairs = [(x, y) for x in values[:8] for y in values[8:]]
+    for x, z in zip(values, reversed(values)):
+        pairs.append((x, ref.add(z, ref.neg(x))))  # x + y lands on z
+        if x != ref.zero():
+            pairs.append((x, ref.mul(z, ref.inv(x))))  # x * y lands on z
+    for x, y in pairs:
+        a, b = ref.element(x), ref.element(y)
+        cases = [("+", a + b, ref.add(x, y)), ("-", a - b, ref.add(x, ref.neg(y))),
+                 ("*", a * b, ref.mul(x, y)), ("neg", -a, ref.neg(x))]
+        if y != ref.zero():
+            cases += [("inverse", b.inverse(), ref.inv(y)), ("/", a / b, ref.mul(x, ref.inv(y)))]
+        for op, got, want in cases:
+            ref.assert_canonical(got)
+            assert ref.value(got) == want, (op, x, y)
+            same = ref.element(want)
+            assert got == same and hash(got) == hash(same), (op, x, y)
+            assert str(got) == ref.text(want), (op, x, y)
+            assert (got == a) == (want == x) and got.is_zero() == (want == ref.zero())
+    for x in values:
+        e = ref.element(x)
+        q = ref.prime(x)
+        assert e.prime_value() == q
+        if field.kind == "Qsqrt" and q is not None:
+            assert type(e.prime_value()) is Fraction
+        if q is None:
+            with pytest.raises(Unsupported):
+                e.sqrt()
+            continue
+        root = e.sqrt()
+        assert (root is not None) == ref.is_square(q)
+        if root is not None:
+            ref.assert_canonical(root)
+            assert root * root == e
+    for k in range(0, len(values), 5):
+        batch = values[k:k + 5]
+        assert field.prime_field_rows([ref.element(x) for x in batch]) == ref.rows(batch)
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)

@@ -4,11 +4,14 @@ and g of finite and infinite order:
 
 - labels(M + N) = labels(M) + labels(N);
 - labels are invariant under a parity-preserving change of basis;
-- labels(Pi M) are the parity-shifted labels of M, canonicalised.
+- labels(Pi M) are the parity-shifted labels of M, canonicalised;
+- dim Hom(M + N, P) = dim Hom(M, P) + dim Hom(N, P), which reads no label,
+  so a wrong field kernel that keeps the labels is still caught.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from superhopf.chargroup import GroupDescriptor, LieFunctional
@@ -16,6 +19,7 @@ from superhopf.dgxrep import (
     DecompositionError,
     IndecompLabel,
     canonical_label,
+    comodule_homs,
     decompose,
     standard_object,
 )
@@ -111,3 +115,14 @@ def test_parity_shift_shifts_labels(drawn):
     shifted = [canonical_label(alg, IndecompLabel(l.kind, l.char, not l.shifted))
                for l in decompose(m).labels]
     assert decompose(m.parity_shift()).label_multiset() == sorted(str(l) for l in shifted)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: repr(case[0].field))
+@settings(SETTINGS, max_examples=10)
+@given(st.data())
+def test_hom_dimension_additive_on_direct_sums(case, data):
+    _, m = data.draw(comodules(case=case, max_summands=2))
+    _, n = data.draw(comodules(case=case, max_summands=2))
+    _, p = data.draw(comodules(case=case, max_summands=2))
+    assert len(comodule_homs(m.direct_sum(n), p)) == (
+        len(comodule_homs(m, p)) + len(comodule_homs(n, p)))
