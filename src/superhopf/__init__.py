@@ -10,7 +10,7 @@ _EXPORTS = {
     "fields": "Field FieldElement FunctionField GF QQ QuadraticField",
     "chargroup": "Character GroupDescriptor LieFunctional Subgroup subgroup_kernel",
     "hopfcore": "GXData MonomialHopfSuperalgebra build_algebra coradical find_grouplikes"
-                " find_primitives find_skew_primitives group_algebra validate_gx verify_hopf_axioms",
+                " group_algebra validate_gx verify_hopf_axioms",
     "hcp": "HarishChandraPair SubPair abelian_normal_form center_even check_normal"
            " check_pair classify_iso is_nilpotent nilpotency_conditions normal_chain"
            " quotient_pair splitting_counterexample super_diagonalizable unipotent_radical_trivial",

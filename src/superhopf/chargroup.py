@@ -416,9 +416,6 @@ class Subgroup:
         B = [[col[i] for col in self._basis] for i in range(n)]
         return solve_int(B, list(h.exps)) is not None
 
-    def is_whole_group(self) -> bool:
-        return all(self.contains(g) for g in self.group.generators())
-
     def structure(self):
         """Presentation of the subgroup as an abstract group.
 

@@ -278,10 +278,6 @@ def canonical_label(algebra, label: IndecompLabel) -> IndecompLabel:
     return IndecompLabel("L", best[0], best[1])
 
 
-def labels_isomorphic(algebra, a: IndecompLabel, b: IndecompLabel) -> bool:
-    return canonical_label(algebra, a) == canonical_label(algebra, b)
-
-
 def label_dim(label: IndecompLabel) -> int:
     return 1 if label.kind == "S" else 2
 
@@ -722,8 +718,3 @@ def _check_pairing(alg, h, values):
         "failures": failures[:5],
     }
 
-
-def dual_pairing_tampered(algebra: MonomialHopfSuperalgebra, h):
-    """Same pairing with the deliberately wrong value <h^{-1}, g^{-1}h> = 1;
-    the morphism check must fail."""
-    return _check_pairing(algebra, h, {(0, 0): algebra.field.one()})

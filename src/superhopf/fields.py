@@ -450,7 +450,8 @@ class RationalFunctionField(Field):
 
     def random(self, rng) -> "FieldElement":
         deg = rng.randint(0, 2)
-        num = [rng.randint(-3, 3) if self.p == 0 else rng.randrange(self.p) for _ in range(deg + 1)]
+        num = [Fraction(rng.randint(-3, 3)) if self.p == 0 else rng.randrange(self.p)
+               for _ in range(deg + 1)]
         elem = FieldElement(self, (_pnorm(num, self.p), (self._one_coeff(),)))
         if rng.random() < 0.3:
             den = self.generator() + self.from_int(rng.randint(1, 3))

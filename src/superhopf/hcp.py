@@ -384,30 +384,31 @@ def sub_pair_as_pair(pair: HarishChandraPair, sub: SubPair) -> HarishChandraPair
 # diagonalizable-base verdicts
 
 
-def _functional_coordinates(pair, x):
-    """K-coordinates of a Lie functional of the D-part (free + torsion slots
-    that can be nonzero) prefixed by nothing; additive coordinates excluded."""
+def _functional_coordinates(pair, x, additive):
+    """K-coordinates of a Lie functional: the free and torsion slots of the
+    D-part that can be nonzero, then the additive ones if `additive`."""
     coords = list(x.free)
     p = pair.field.characteristic
     for n, c in zip(pair.base.torsion, x.torsion):
         if p and n % p == 0:
             coords.append(c)
-    return coords
+    return coords + list(x.additive) if additive else coords
 
 
-def _block_radical(pair: HarishChandraPair, wexps):
-    """Kernel vectors of V(w) against the D-part of the bracket with V(w^-1).
+def _block_radical(pair: HarishChandraPair, wexps, additive=False):
+    """Kernel vectors of V(w) against the bracket with V(w^-1), read on the
+    D-part coordinates (and the additive ones if `additive`).
 
     Returns vectors of V, supported on the weight-w block, that annihilate
-    every opposite-block vector.
+    every opposite-block vector; none when V(w) = 0.
     """
     blocks = pair.weight_blocks()
-    idx = blocks[wexps]
+    idx = blocks.get(wexps, [])
     inv = pair.base.character(wexps).inverse().exps
     system = {}
     for j in blocks.get(inv, []):
         for i in idx:
-            for c, coeff in enumerate(_functional_coordinates(pair, pair.bracket[j][i])):
+            for c, coeff in enumerate(_functional_coordinates(pair, pair.bracket[j][i], additive)):
                 superlin.add_entry(system, (j, c), i, coeff)
     return superlin.kernel_on(system, idx, pair.dim_v, pair.field)
 
@@ -452,46 +453,42 @@ def unipotent_radical_trivial(pair: HarishChandraPair) -> bool:
 def abelian_normal_form(pair: HarishChandraPair):
     """(base descriptor, dim V) when the supergroup is a direct product
     G x (odd additive line)^dim V, i.e. trivial weights and zero bracket;
-    None otherwise."""
-    for w in pair.weights:
-        if not w.is_identity():
-            return None
-    for i in range(pair.dim_v):
-        for j in range(pair.dim_v):
-            if not pair.bracket[i][j].is_zero():
-                return None
-    return (pair.base, pair.dim_v)
+    None otherwise. That is the case where the trivial-weight radical, read
+    in every coordinate, is all of V."""
+    radical = _block_radical(pair, pair.base.identity().exps, additive=True)
+    return (pair.base, pair.dim_v) if len(radical) == pair.dim_v else None
 
 
 def find_product_decomposition(pair: HarishChandraPair):
-    """Exhaustive basis-aligned search for a direct-product decomposition.
+    """A direct-product decomposition (G, V) = (G, V') x (1, Kw) into two
+    nonempty parts, or None when there is none; raises UnsupportedBase when
+    `check_pair` fails.
 
-    Tries every split of the odd basis into two nonempty parts whose cross
-    brackets vanish and whose parts can be separated through a splitting of
-    the base descriptor (one part taking the whole D-factor, the other a
-    trivial group). Returns the split or None.
+    A factor (1, W) with trivial base has trivial weights and zero bracket
+    (its Lie algebra is 0), and in a product it brackets to zero against the
+    other factor. So W lies in the trivial-weight radical
+    R = {w in V(1) : [w, V] = 0 in every coordinate, additive ones included}.
+    Conversely, for a nonzero w in R and any weight-homogeneous complement V'
+    of Kw, [V', w] = [w, w] = 0 gives V = V' (+) Kw as pairs. So a split
+    into two nonempty parts exists iff R != 0 and dim V >= 2; in the edge
+    case dim V = 1, R = V, the only candidate is W = V with an empty
+    full-base part, and the answer is None. Equivariance lets R be computed
+    from the brackets of V(1) with V(1) alone (see Montgomery, CBMS 82, 1993,
+    ch. 1, for the product of Hopf algebras).
+
+    Returns {"trivial_base_part": [w], "full_base_part": basis of V'}, as
+    coefficient vectors; V' is spanned by the basis vectors other than the
+    first support index of w.
     """
-    n = pair.dim_v
-    indices = range(n)
-    for size in range(1, n // 2 + 1):
-        for left in combinations(indices, size):
-            right = tuple(i for i in indices if i not in left)
-            cross_zero = all(
-                pair.bracket[i][j].is_zero() for i in left for j in right
-            )
-            if not cross_zero:
-                continue
-            # a factor with trivial base needs trivial weights and zero bracket
-            for trivial_side, other_side in ((left, right), (right, left)):
-                ok = all(pair.weights[i].is_identity() for i in trivial_side) and all(
-                    pair.bracket[i][j].is_zero() for i in trivial_side for j in trivial_side
-                )
-                if ok:
-                    return {
-                        "trivial_base_part": list(trivial_side),
-                        "full_base_part": list(other_side),
-                    }
-    return None
+    verdict = check_pair(pair)
+    if not verdict.ok:
+        raise UnsupportedBase(f"not a Harish-Chandra pair: {verdict.failures}")
+    radical = _block_radical(pair, pair.base.identity().exps, additive=True)
+    if not radical or pair.dim_v < 2:
+        return None
+    w = radical[0]
+    rest = superlin.echelon_extend([w], pair.dim_v, pair.field)
+    return {"trivial_base_part": [w], "full_base_part": [pair.basis_vector(i) for i in rest]}
 
 
 # ---------------------------------------------------------------------------

@@ -560,7 +560,7 @@ def verify_hopf_axioms(alg: MonomialHopfSuperalgebra, samples: int = 100, seed: 
 
 
 # ---------------------------------------------------------------------------
-# grouplike / primitive / skew-primitive detection
+# grouplikes and the coradical
 
 
 def find_grouplikes(alg: MonomialHopfSuperalgebra, window=None, allow_inhomogeneous=False):
@@ -600,77 +600,6 @@ def _resolve_window(alg, window):
     if alg.group.is_finite:
         return alg.group.all_characters()
     raise WindowRequired("character group is infinite; supply a window")
-
-
-def _solve_tensor_condition(alg, basis_monos, condition):
-    """Kernel of c -> condition(c) where condition maps monomials to 2-tensors."""
-    system = {}
-    for j, m in enumerate(basis_monos):
-        for key, c in condition(m).terms.items():
-            superlin.add_entry(system, key, j, c)
-    n = len(basis_monos)
-    return [HopfElement(alg, zip(basis_monos, vec))
-            for vec in superlin.kernel_on(system, range(n), n, alg.field)]
-
-
-def _window_monomials(alg, window, degree_bound):
-    monos = []
-    degs = [(0,) * alg.k]
-    for _ in range(degree_bound):
-        new = []
-        for d in degs:
-            for j in range(alg.k):
-                e = list(d)
-                e[j] += 1
-                new.append(tuple(e))
-        degs = sorted(set(degs) | set(new))
-    for h in window:
-        for d in degs:
-            for eps in (0, 1) if alg.with_z else (0,):
-                monos.append(alg.monomial(h.exps, d, eps))
-    return monos
-
-
-def find_primitives(alg: MonomialHopfSuperalgebra, window=None, degree_bound=2):
-    """Basis of {c : Delta(c) = 1(x)c + c(x)1} within the window span."""
-    window = _resolve_window(alg, window)
-    monos = _window_monomials(alg, window, degree_bound)
-    one_m = alg.monomial()
-    one = alg.field.one()
-
-    def condition(m):
-        d = alg.delta_monomial(m)
-        sub = TensorElement(alg, 2, {(one_m, m): one}) + TensorElement(alg, 2, {(m, one_m): one})
-        return d - sub
-
-    return _solve_tensor_condition(alg, monos, condition)
-
-
-def find_skew_primitives(alg: MonomialHopfSuperalgebra, window=None, degree_bound=1):
-    """For each ordered pair (h, g') of homogeneous grouplikes in the window,
-    the solution space of Delta(c) = h(x)c + c(x)g'. Returns a dict keyed by
-    the pair of characters."""
-    window = _resolve_window(alg, window)
-    grouplike_chars = [h for h in window if alg.pair_char(h.exps).is_zero()]
-    monos = _window_monomials(alg, window, degree_bound)
-    one = alg.field.one()
-    out = {}
-    for hl in grouplike_chars:
-        hl_m = alg.monomial(hl.exps)
-        for hr in grouplike_chars:
-            hr_m = alg.monomial(hr.exps)
-
-            def condition(m, hl_m=hl_m, hr_m=hr_m):
-                d = alg.delta_monomial(m)
-                sub = TensorElement(alg, 2, {(hl_m, m): one}) + TensorElement(
-                    alg, 2, {(m, hr_m): one}
-                )
-                return d - sub
-
-            sols = _solve_tensor_condition(alg, monos, condition)
-            if sols:
-                out[(hl, hr)] = sols
-    return out
 
 
 @dataclass

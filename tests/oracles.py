@@ -8,14 +8,16 @@ operation and by pairs of Fractions, comodule
 decompositions by enumerating line closures over a finite field, and
 extension spaces by solving for all perturbed coactions modulo change of
 splitting. The last two run over F_p only and eliminate with their own
-Gauss-Jordan on int residues, not with superhopf.superlin.
+Gauss-Jordan on int residues, not with superhopf.superlin. Product
+decompositions of a Harish-Chandra pair are searched over every split of the
+given odd basis, with no linear algebra at all.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from superhopf.dgxrep import IndecompLabel, Supercomodule, standard_object
 
@@ -602,3 +604,38 @@ def ext1_bruteforce(algebra, s: IndecompLabel, t: IndecompLabel) -> int:
     dim_total = _rank_mod_p(cob + cocycles, p)
     dim_b = _rank_mod_p(cob, p)
     return dim_total - dim_b
+
+
+# ---------------------------------------------------------------------------
+# product decompositions of Harish-Chandra pairs
+
+
+def product_decomposition_bruteforce(pair):
+    """Exhaustive basis-aligned search for a direct-product decomposition.
+
+    Tries every split of the odd basis into two nonempty parts whose cross
+    brackets vanish and whose parts can be separated through a splitting of
+    the base descriptor (one part taking the whole D-factor, the other a
+    trivial group). Returns the split or None.
+    """
+    n = pair.dim_v
+    indices = range(n)
+    for size in range(1, n // 2 + 1):
+        for left in combinations(indices, size):
+            right = tuple(i for i in indices if i not in left)
+            cross_zero = all(
+                pair.bracket[i][j].is_zero() for i in left for j in right
+            )
+            if not cross_zero:
+                continue
+            # a factor with trivial base needs trivial weights and zero bracket
+            for trivial_side, other_side in ((left, right), (right, left)):
+                ok = all(pair.weights[i].is_identity() for i in trivial_side) and all(
+                    pair.bracket[i][j].is_zero() for i in trivial_side for j in trivial_side
+                )
+                if ok:
+                    return {
+                        "trivial_base_part": list(trivial_side),
+                        "full_base_part": list(other_side),
+                    }
+    return None

@@ -159,6 +159,18 @@ def test_function_field_canonical_form():
     assert str(K.parse(str(b))) == str(b)
 
 
+def test_rational_function_random_constants_are_fractions():
+    """`prime_value()` of a Q(t) constant is a Fraction, also for the
+    constants `random` draws and their sums and products."""
+    K = FunctionField(0)
+    rng = random.Random(7)
+    constants = [c for c in (K.random(rng) for _ in range(100)) if c.prime_value() is not None]
+    assert len(constants) > 10
+    for a, b in zip(constants, constants[1:]):
+        for c in (a, a + b, a * b):
+            assert type(c.prime_value()) is Fraction, c
+
+
 def test_json_roundtrip():
     for field in ALL_FIELDS:
         assert Field.from_json(field.to_json()) == field

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from superhopf import superlin
 from superhopf.chargroup import GroupDescriptor, LieFunctional
 from superhopf.fields import GF, QQ, QuadraticField
 from superhopf.hcp import (
@@ -10,6 +11,7 @@ from superhopf.hcp import (
     HarishChandraPair,
     InvalidSubPair,
     SubPair,
+    UnsupportedBase,
     abelian_normal_form,
     center_even,
     check_normal,
@@ -26,6 +28,8 @@ from superhopf.hcp import (
     unipotent_radical_subpair,
     unipotent_radical_trivial,
 )
+
+from oracles import product_decomposition_bruteforce
 
 Q = QQ()
 F5 = GF(5)
@@ -203,6 +207,114 @@ def test_72_has_no_product_decomposition():
     split = HarishChandraPair(Q, mu3, [mu3.identity(), mu3.identity()])
     split.set_bracket(0, 0, LieFunctional.zero(mu3, Q))
     assert find_product_decomposition(split) is not None
+
+
+def _assert_split_witness(pair, split):
+    """V = V' (+) Kw with w of trivial weight and [w, V] = 0 in every
+    coordinate, V' spanned by weight vectors."""
+    (w,) = split["trivial_base_part"]
+    vectors = [w] + split["full_base_part"]
+    assert len(vectors) == pair.dim_v == superlin.rank(vectors, pair.field)
+    assert all(pair.weights[i].is_identity() for i, c in enumerate(w) if not c.is_zero())
+    assert all(pair.bracket_of_vectors(w, pair.basis_vector(i)).is_zero()
+               for i in range(pair.dim_v))
+    for v in split["full_base_part"]:
+        assert len({pair.weights[i].exps for i, c in enumerate(v) if not c.is_zero()}) == 1
+
+
+def test_product_decomposition_off_the_basis():
+    # every bracket is x = (free: 1): no split of the basis has zero cross
+    # brackets, but w = e0 - e1 brackets to zero against V
+    pair = HarishChandraPair(Q, Gm, [Gm.identity(), Gm.identity()])
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        pair.set_bracket(i, j, LieFunctional(Gm, Q, free=[1]))
+    assert check_pair(pair).ok
+    assert product_decomposition_bruteforce(pair) is None
+    split = find_product_decomposition(pair)
+    (w,) = split["trivial_base_part"]
+    assert not w[0].is_zero() and w[0] == -w[1]
+    _assert_split_witness(pair, split)
+
+
+def test_product_decomposition_reads_additive_coordinates():
+    x = LieFunctional(GaGm, Q, free=[0], additive=[1])
+    hyperbolic = HarishChandraPair(Q, GaGm, [GaGm.identity()] * 2)
+    hyperbolic.set_bracket(0, 1, x)
+    assert check_pair(hyperbolic).ok and find_product_decomposition(hyperbolic) is None
+    square = HarishChandraPair(Q, GaGm, [GaGm.identity()] * 2)
+    square.set_bracket(0, 0, x)
+    split = find_product_decomposition(square)
+    assert split["trivial_base_part"] == [square.basis_vector(1)]
+    _assert_split_witness(square, split)
+    # two nonempty parts: a single odd line never splits, and the pair must be valid
+    assert find_product_decomposition(HarishChandraPair(Q, GaGm, [GaGm.identity()])) is None
+    chi = HarishChandraPair(Q, GaGm, [GaGm.character([1]), GaGm.identity()])
+    chi.set_bracket(0, 0, x)
+    with pytest.raises(UnsupportedBase):
+        find_product_decomposition(chi)
+
+
+def _random_pair(field, entry, rng):
+    """A valid pair of dimension 1..4: trivial weights with any brackets, or
+    trivial and opposite weights chi^{+-1} with additive-only brackets."""
+    base = rng.choice([Gm, GaGm, GroupDescriptor(0, (5,), 1)])
+    opposite = base.additive_rank and rng.random() < 0.5
+    exps = [rng.choice((0, 1, -1)) if opposite else 0 for _ in range(rng.randint(1, 4))]
+    pair = HarishChandraPair(field, base, [base.character([e]) for e in exps])
+    zero = field.zero()
+    for i in range(pair.dim_v):
+        for j in range(i, pair.dim_v):
+            if exps[i] + exps[j] or rng.random() < 0.5:
+                continue
+            free = [zero if opposite else entry(rng) for _ in range(base.free_rank)]
+            torsion = [zero if opposite or field.characteristic != 5 else entry(rng)
+                       for _ in base.torsion]
+            additive = [entry(rng) for _ in range(base.additive_rank)]
+            pair.set_bracket(i, j, LieFunctional(base, field, free, torsion, additive))
+    assert check_pair(pair).ok
+    return pair
+
+
+def _rebased(pair, entry, rng):
+    """The pair on a random weight-homogeneous basis: the new basis vectors
+    are the columns of an invertible matrix that is block-diagonal by weight."""
+    n, zero = pair.dim_v, pair.field.zero()
+    while True:
+        cols = [[entry(rng) if pair.weights[i] == pair.weights[a] else zero for i in range(n)]
+                for a in range(n)]
+        if superlin.rank(cols, pair.field) == n:
+            break
+    out = HarishChandraPair(pair.field, pair.base, pair.weights)
+    for a in range(n):
+        for b in range(a, n):
+            out.set_bracket(a, b, pair.bracket_of_vectors(cols[a], cols[b]))
+    return out
+
+
+def test_product_decomposition_against_basis_search():
+    """Where the search over splits of the basis finds one, the radical does;
+    every split returned is a witness, and the verdict is basis-free."""
+    Qi = QuadraticField(-1)
+    i_unit = Qi.generator()
+    cases = [
+        (Q, lambda r: Q.from_int(r.randint(-2, 2))),
+        (F5, lambda r: F5.from_int(r.randrange(5))),
+        (Qi, lambda r: Qi.from_int(r.randint(-1, 1)) + i_unit * r.randint(-1, 1)),
+    ]
+    seen = set()
+    for field, entry in cases:
+        rng = random.Random(71)
+        for _ in range(60):
+            pair = _random_pair(field, entry, rng)
+            split = find_product_decomposition(pair)
+            by_basis = product_decomposition_bruteforce(pair) is not None
+            assert split is not None or not by_basis
+            if split is not None:
+                _assert_split_witness(pair, split)
+            rebased = _rebased(pair, entry, rng)
+            assert (find_product_decomposition(rebased) is None) == (split is None)
+            seen.add((by_basis, split is not None))
+    assert seen == {(False, False), (False, True), (True, True)}
 
 
 def test_normal_chain_one_odd_dimension():

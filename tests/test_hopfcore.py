@@ -14,8 +14,6 @@ from superhopf.hopfcore import (
     coradical,
     format_monomial,
     find_grouplikes,
-    find_primitives,
-    find_skew_primitives,
     group_algebra,
     monomial_parity,
     validate_gx,
@@ -180,27 +178,6 @@ def test_no_grouplikes_with_positive_t_degree():
     assert len(hom) == 1 and not inh
 
 
-def test_primitives_of_additive_group_algebra():
-    alg = group_algebra(Q, Ga)
-    prims = find_primitives(alg, degree_bound=3)
-    assert len(prims) == 1
-    assert str(prims[0]) == "t"
-
-
-def test_primitives_include_z_when_g_trivial():
-    alg = build_algebra(Q, Gm, Gm.identity(), gm_y(Q))
-    prims = find_primitives(alg, window=Gm.character_window(1), degree_bound=0)
-    assert any("z" in str(p) for p in prims)
-
-
-def test_z_skew_primitive_with_expected_grouplike_pair():
-    alg = build_algebra(Q, mu4, mu4.character([2]), LieFunctional.zero(mu4, Q))
-    skews = find_skew_primitives(alg, degree_bound=0)
-    key = (mu4.identity(), mu4.character([2]))
-    assert key in skews
-    assert any(set(s.terms) == {alg.monomial(eps=1)} for s in skews[key])
-
-
 def test_window_required_for_infinite_groups():
     alg = build_algebra(Q, Gm, Gm.identity(), gm_y(Q))
     with pytest.raises(WindowRequired):
@@ -328,9 +305,6 @@ def test_no_zero_coefficient_is_stored():
         d = alg.delta(a)
         assert (d - d).terms == {} and d.scale(0).terms == {}
         assert zero_free(a, d, alg.antipode(a), alg.delta_left(d), alg.counit_left(d))
-        alg0 = build_algebra(field, mu4, mu4.identity(), LieFunctional.zero(mu4, field))
-        prims = find_primitives(alg0)
-        assert prims and zero_free(*prims)
         one_m, z_m = alg.monomial(), alg.monomial(eps=1)
         override = {(one_m, z_m): field.one(), (z_m, one_m): field.one(),
                     (one_m, one_m): field.zero()}

@@ -5,7 +5,8 @@ and g of finite and infinite order:
 - labels(M + N) = labels(M) + labels(N);
 - labels are invariant under a parity-preserving change of basis;
 - labels(Pi M) are the parity-shifted labels of M, canonicalised;
-- dim Hom(M + N, P) = dim Hom(M, P) + dim Hom(N, P), which reads no label,
+- dim Hom(M + N, P) = dim Hom(M, P) + dim Hom(N, P) and
+  dim Hom(P, M + N) = dim Hom(P, M) + dim Hom(P, N), which read no label,
   so a wrong field kernel that keeps the labels is still caught.
 """
 
@@ -126,3 +127,5 @@ def test_hom_dimension_additive_on_direct_sums(case, data):
     _, p = data.draw(comodules(case=case, max_summands=2))
     assert len(comodule_homs(m.direct_sum(n), p)) == (
         len(comodule_homs(m, p)) + len(comodule_homs(n, p)))
+    assert len(comodule_homs(p, m.direct_sum(n))) == (
+        len(comodule_homs(p, m)) + len(comodule_homs(p, n)))
