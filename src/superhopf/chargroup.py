@@ -220,15 +220,6 @@ class GroupDescriptor:
             chars = [c + (b,) for c in chars for b in range(n)]
         return [Character(self, c) for c in chars]
 
-    def character_window(self, bound):
-        """All characters with free exponents in [-bound, bound]."""
-        chars = [()]
-        for _ in range(self.free_rank):
-            chars = [c + (a,) for c in chars for a in range(-bound, bound + 1)]
-        for n in self.torsion:
-            chars = [c + (b,) for c in chars for b in range(n)]
-        return [Character(self, c) for c in chars]
-
     def relation_columns(self):
         cols = []
         for i, n in enumerate(self.torsion):

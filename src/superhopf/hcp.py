@@ -17,7 +17,6 @@ Lambda itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations
 
 from .chargroup import (
     Character,
@@ -190,10 +189,13 @@ class Verdict:
 def check_pair(pair: HarishChandraPair) -> Verdict:
     """Symmetry, weight-equivariance, and the cubic self-annihilation law.
 
-    The cubic law v <| [v,v] = 0 for all v linearizes (char != 2) to
-    <[v_i, v_j], weight(v_k)> = 0 for all i, j, k; that complete form is
-    checked, backed by direct evaluation on basis vectors, pairwise sums and
-    triple sums of basis vectors.
+    The cubic law v <| [v,v] = 0 for all v is checked in its complete
+    linearized form <[v_i, v_j], weight(v_k)> = 0 for all i, j, k. The two
+    are equivalent because char K != 2 and the bracket is symmetric:
+    polarizing the cubic in v = sum c_i v_i recovers every term. Evaluating
+    the law on particular vectors (basis vectors, sums of two or three) would
+    add nothing: sum c_i c_j <[v_i, v_j], weight(v_k)> is bilinear in these
+    same terms, so it vanishes once they all do.
     """
     verdict = Verdict(True)
     n = pair.dim_v
@@ -221,18 +223,6 @@ def check_pair(pair: HarishChandraPair) -> Verdict:
                     verdict.record(
                         "self-annihilation", f"<[v{i},v{j}], weight(v{kk})> = {val}"
                     )
-    if verdict.ok:
-        vecs = [pair.basis_vector(i) for i in range(n)]
-        probes = list(vecs)
-        for a, b in combinations(range(n), 2):
-            probes.append([x + y for x, y in zip(vecs[a], vecs[b])])
-        for a, b, c in combinations(range(n), 3):
-            probes.append([x + y + z for x, y, z in zip(vecs[a], vecs[b], vecs[c])])
-        for v in probes:
-            bb = pair.bracket_of_vectors(v, v)
-            for kk in range(n):
-                if not v[kk].is_zero() and not bb.pair(pair.weights[kk]).is_zero():
-                    verdict.record("self-annihilation (decomposable)", f"component {kk}")
     return verdict
 
 
@@ -250,16 +240,6 @@ def _validate_subpair(pair: HarishChandraPair, sub: SubPair) -> Verdict:
             raise InvalidSubPair("zero spanning vector in W")
         if len(support_weights) > 1:
             verdict.record("W spanned by weight vectors", f"vector mixes weights {support_weights}")
-    return verdict
-
-
-def subpair_bracket_closed(pair: HarishChandraPair, sub: SubPair) -> Verdict:
-    """[W,W] in Lie(H), required for (H, W) to be a sub-object."""
-    verdict = Verdict(True)
-    for a, u in enumerate(sub.vectors):
-        for b, w in enumerate(sub.vectors):
-            x = pair.bracket_of_vectors(u, w)
-            _check_in_lie_h(pair, sub, x, f"[w{a},w{b}]", "[W,W] in Lie(H)", verdict)
     return verdict
 
 
@@ -351,33 +331,6 @@ def quotient_pair(pair: HarishChandraPair, sub: SubPair) -> HarishChandraPair:
             add_vals = [x.additive[j] for j in keep_ga]
             quotient.bracket[a][b] = LieFunctional(new_base, field, free_vals, tors_vals, add_vals)
     return quotient
-
-
-def sub_pair_as_pair(pair: HarishChandraPair, sub: SubPair) -> HarishChandraPair:
-    """The sub-pair (H, W) itself as a standalone pair; X(D_H) = X/Lambda."""
-    validity = _validate_subpair(pair, sub)
-    closed = subpair_bracket_closed(pair, sub)
-    if not validity.ok or not closed.ok:
-        raise InvalidSubPair(str(validity.failures + closed.failures))
-    field = pair.field
-    quot = QuotientGroup(pair.base, sub.annihilator)
-    keep_ga = sorted(sub.ga_factors)
-    new_base = GroupDescriptor(quot.descriptor.free_rank, quot.descriptor.torsion, len(keep_ga))
-    weights = []
-    for v in sub.vectors:
-        wexps = next(pair.weights[i].exps for i, c in enumerate(v) if not c.is_zero())
-        proj = quot.project(pair.base.character(wexps))
-        weights.append(new_base.character(proj.exps))
-    sub_pair = HarishChandraPair(field, new_base, weights)
-    r2, m2 = new_base.free_rank, len(new_base.torsion)
-    for a, u in enumerate(sub.vectors):
-        for b, w in enumerate(sub.vectors):
-            x = pair.bracket_of_vectors(u, w)
-            free_vals = [x.pair(quot.lift(t)) for t in range(r2)]
-            tors_vals = [x.pair(quot.lift(r2 + t)) for t in range(m2)]
-            add_vals = [x.additive[j] for j in keep_ga]
-            sub_pair.bracket[a][b] = LieFunctional(new_base, field, free_vals, tors_vals, add_vals)
-    return sub_pair
 
 
 # ---------------------------------------------------------------------------
@@ -524,28 +477,29 @@ class NormalChainResult:
 
 
 def normal_chain(pair: HarishChandraPair) -> NormalChainResult:
-    """Chain construction: repeatedly pick the lexicographically least weight
-    vector, quotient the corresponding one-dimensional piece off, and recurse
-    into the sub-pair. Emits factor labels from the top of the chain down;
-    every step's sub-pair is re-validated for normality."""
+    """Chain construction: repeatedly pick the least weight w (by sort_key)
+    of an odd basis vector v, quotient the one-dimensional piece Kv off, and
+    recurse into the sub-pair (H, W) with H = ker(w) x all additive factors
+    and W spanned by the other basis vectors. Emits factor labels from the
+    top of the chain down.
+
+    Every step is normal, so the chain is read off the weights alone, one
+    quotient X/<w> of the character group per step: H acts on V/W = Kv
+    through w, which is trivial on ker(w), and the additive factors act
+    trivially on V; [V, W] and [W, W] pair to zero with w by the
+    self-annihilation law, so they lie in Lie(H); and a sub-pair of a valid
+    pair is again valid, so the argument repeats at every step. The weights
+    of W are the projections of the remaining weights to X/<w>. Raises
+    UnsupportedBase when `check_pair` fails.
+    """
     verdict = check_pair(pair)
     if not verdict.ok:
         raise UnsupportedBase(f"not a Harish-Chandra pair: {verdict.failures}")
     factors = []
     steps = []
-    current = pair
-    while current.dim_v > 0:
-        order = sorted(range(current.dim_v), key=lambda i: current.weights[i].sort_key())
-        pick = order[0]
-        w = current.weights[pick]
-        sub = SubPair(
-            frozenset(range(current.base.additive_rank)),
-            [] if w.is_identity() else [w],
-            [current.basis_vector(i) for i in range(current.dim_v) if i != pick],
-        )
-        normal = check_normal(current, sub)
-        if not normal.ok:
-            raise UnsupportedBase(f"chain step not normal: {normal.failures}")
+    base, weights = pair.base, list(pair.weights)
+    while weights:
+        w = weights.pop(min(range(len(weights)), key=lambda i: weights[i].sort_key()))
         if w.is_identity():
             step_factors = [FactorLabel("Ga_minus")]
         else:
@@ -560,8 +514,11 @@ def normal_chain(pair: HarishChandraPair) -> NormalChainResult:
                 "normal": True,
             }
         )
-        current = sub_pair_as_pair(current, sub)
-    return NormalChainResult(factors, current.base, steps)
+        # X/<1> is taken too: its Smith form may re-present X ((2, 3) as (6,))
+        quot = QuotientGroup(base, [] if w.is_identity() else [w])
+        base = quot.descriptor
+        weights = [quot.project(x) for x in weights]
+    return NormalChainResult(factors, base, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -875,23 +875,3 @@ def hopf_smooth_reduction(alg) -> dict:
         "decomposition": "even quotient tensor exterior algebra on the odd cotangent space",
     }
 
-
-def presentation_from_algebra(alg) -> SuperAlgebraPresentation:
-    """Presentation of a monomial Hopf superalgebra with finite diagonalizable
-    part: one variable per torsion factor (u^n = 1), one per additive factor,
-    and the single odd generator when present."""
-    if alg.group.free_rank:
-        raise UndecidableBase("free multiplicative factors need inverted variables")
-    names = [f"u{i+1}" for i in range(len(alg.group.torsion))]
-    names += [f"t{j+1}" for j in range(alg.group.additive_rank)]
-    field = alg.field
-    pres = SuperAlgebraPresentation(
-        field,
-        names,
-        [],
-        ("z",) if alg.with_z else (),
-    )
-    for i, n in enumerate(alg.group.torsion):
-        tail = pres.element({((0,) * len(names), SYM_ONE): 1})
-        pres.relations.append(Relation(i, n, tail))
-    return pres

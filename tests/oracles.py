@@ -10,7 +10,9 @@ extension spaces by solving for all perturbed coactions modulo change of
 splitting. The last two run over F_p only and eliminate with their own
 Gauss-Jordan on int residues, not with superhopf.superlin. Product
 decompositions of a Harish-Chandra pair are searched over every split of the
-given odd basis, with no linear algebra at all.
+given odd basis, with no linear algebra at all. Normal chains are built
+stepwise: each step's sub-pair is re-checked for normality and rebuilt with
+its full bracket, where the package reads the chain off the weights alone.
 """
 
 from __future__ import annotations
@@ -19,7 +21,21 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
+from superhopf.chargroup import GroupDescriptor, LieFunctional, QuotientGroup
 from superhopf.dgxrep import IndecompLabel, Supercomodule, standard_object
+from superhopf.hcp import (
+    FactorLabel,
+    HarishChandraPair,
+    InvalidSubPair,
+    NormalChainResult,
+    SubPair,
+    UnsupportedBase,
+    Verdict,
+    _check_in_lie_h,
+    _validate_subpair,
+    check_normal,
+    check_pair,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -639,3 +655,85 @@ def product_decomposition_bruteforce(pair):
                         "full_base_part": list(other_side),
                     }
     return None
+
+
+# ---------------------------------------------------------------------------
+# normal chains of Harish-Chandra pairs, one re-validated sub-pair per step
+
+
+def subpair_bracket_closed(pair: HarishChandraPair, sub: SubPair) -> Verdict:
+    """[W,W] in Lie(H), required for (H, W) to be a sub-object."""
+    verdict = Verdict(True)
+    for a, u in enumerate(sub.vectors):
+        for b, w in enumerate(sub.vectors):
+            x = pair.bracket_of_vectors(u, w)
+            _check_in_lie_h(pair, sub, x, f"[w{a},w{b}]", "[W,W] in Lie(H)", verdict)
+    return verdict
+
+
+def sub_pair_as_pair(pair: HarishChandraPair, sub: SubPair) -> HarishChandraPair:
+    """The sub-pair (H, W) itself as a standalone pair; X(D_H) = X/Lambda."""
+    validity = _validate_subpair(pair, sub)
+    closed = subpair_bracket_closed(pair, sub)
+    if not validity.ok or not closed.ok:
+        raise InvalidSubPair(str(validity.failures + closed.failures))
+    field = pair.field
+    quot = QuotientGroup(pair.base, sub.annihilator)
+    keep_ga = sorted(sub.ga_factors)
+    new_base = GroupDescriptor(quot.descriptor.free_rank, quot.descriptor.torsion, len(keep_ga))
+    weights = []
+    for v in sub.vectors:
+        wexps = next(pair.weights[i].exps for i, c in enumerate(v) if not c.is_zero())
+        proj = quot.project(pair.base.character(wexps))
+        weights.append(new_base.character(proj.exps))
+    sub_pair = HarishChandraPair(field, new_base, weights)
+    r2, m2 = new_base.free_rank, len(new_base.torsion)
+    for a, u in enumerate(sub.vectors):
+        for b, w in enumerate(sub.vectors):
+            x = pair.bracket_of_vectors(u, w)
+            free_vals = [x.pair(quot.lift(t)) for t in range(r2)]
+            tors_vals = [x.pair(quot.lift(r2 + t)) for t in range(m2)]
+            add_vals = [x.additive[j] for j in keep_ga]
+            sub_pair.bracket[a][b] = LieFunctional(new_base, field, free_vals, tors_vals, add_vals)
+    return sub_pair
+
+
+def normal_chain_stepwise(pair: HarishChandraPair) -> NormalChainResult:
+    """Chain construction: repeatedly pick the lexicographically least weight
+    vector, quotient the corresponding one-dimensional piece off, and recurse
+    into the sub-pair. Emits factor labels from the top of the chain down;
+    every step's sub-pair is re-validated for normality."""
+    verdict = check_pair(pair)
+    if not verdict.ok:
+        raise UnsupportedBase(f"not a Harish-Chandra pair: {verdict.failures}")
+    factors = []
+    steps = []
+    current = pair
+    while current.dim_v > 0:
+        order = sorted(range(current.dim_v), key=lambda i: current.weights[i].sort_key())
+        pick = order[0]
+        w = current.weights[pick]
+        sub = SubPair(
+            frozenset(range(current.base.additive_rank)),
+            [] if w.is_identity() else [w],
+            [current.basis_vector(i) for i in range(current.dim_v) if i != pick],
+        )
+        normal = check_normal(current, sub)
+        if not normal.ok:
+            raise UnsupportedBase(f"chain step not normal: {normal.failures}")
+        if w.is_identity():
+            step_factors = [FactorLabel("Ga_minus")]
+        else:
+            n = w.order()
+            top = FactorLabel("Gm") if n is None else FactorLabel("mu", n)
+            step_factors = [top, FactorLabel("Ga_minus")]
+        factors.extend(step_factors)
+        steps.append(
+            {
+                "weight": list(w.exps),
+                "factors": [str(f) for f in step_factors],
+                "normal": True,
+            }
+        )
+        current = sub_pair_as_pair(current, sub)
+    return NormalChainResult(factors, current.base, steps)

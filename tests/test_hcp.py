@@ -23,13 +23,12 @@ from superhopf.hcp import (
     normal_chain,
     quotient_pair,
     splitting_counterexample,
-    sub_pair_as_pair,
     super_diagonalizable,
     unipotent_radical_subpair,
     unipotent_radical_trivial,
 )
 
-from oracles import product_decomposition_bruteforce
+from oracles import normal_chain_stepwise, product_decomposition_bruteforce, sub_pair_as_pair
 
 Q = QQ()
 F5 = GF(5)
@@ -84,6 +83,21 @@ def test_check_pair_cubic_condition():
     ok = HarishChandraPair(Q, G2, [G2.character([1, 0]), G2.character([-1, 0])])
     ok.set_bracket(0, 1, LieFunctional(G2, Q, free=[0, 1]))
     assert check_pair(ok).ok
+
+
+def test_check_pair_self_annihilation_on_last_weight():
+    # [v0, v1] = (free: 0, 1) pairs to zero with the weights of v0 and v1;
+    # only the weight (0, 1) of the last vector detects the violation
+    G2 = GroupDescriptor(2, ())
+    pair = HarishChandraPair(Q, G2, [G2.character([1, 0]), G2.character([-1, 0]),
+                                     G2.character([0, 1])])
+    pair.set_bracket(0, 1, LieFunctional(G2, Q, free=[0, 1]))
+    verdict = check_pair(pair)
+    assert not verdict.ok
+    assert verdict.failures == [("self-annihilation", "<[v0,v1], weight(v2)> = 1"),
+                                ("self-annihilation", "<[v1,v0], weight(v2)> = 1")]
+    with pytest.raises(UnsupportedBase):
+        normal_chain(pair)
 
 
 def test_check_normal_central_additive_factor():
@@ -354,6 +368,65 @@ def test_normal_chain_counts_and_validates():
     for f in result.factors:
         assert f.kind in ("Ga_minus", "Gm", "mu")
     assert all(step["normal"] for step in result.steps)
+
+
+CHAIN_BASES = [
+    GroupDescriptor(2, ()),
+    GroupDescriptor(2, (), 1),
+    GroupDescriptor(1, (4,)),
+    GroupDescriptor(1, (4,), 1),
+    GroupDescriptor(2, (3,), 1),
+    GroupDescriptor(1, (2, 3)),
+]
+
+
+def _random_chain_pair(field, rng):
+    """A valid pair of dimension 1..6 whose weights are powers d^k, |k| <= 2,
+    of one character d (so d = (1, 2) gives (2, 4), whose quotient gains
+    torsion). Brackets join opposite weights; their D-part annihilates d,
+    hence every weight, and their additive part is arbitrary."""
+    base = rng.choice(CHAIN_BASES)
+    r = base.free_rank
+    d = [rng.randint(-2, 2) for _ in range(r)] + [rng.randrange(n) for n in base.torsion]
+    if r == 2:
+        free_dir = [d[1], -d[0]]
+    else:
+        free_dir = [0] if d[0] else [1]
+    ks = [rng.randint(-2, 2) for _ in range(rng.randint(1, 6))]
+    pair = HarishChandraPair(field, base, [base.character([k * e for e in d]) for k in ks])
+    for i in range(pair.dim_v):
+        for j in range(i, pair.dim_v):
+            if not (pair.weights[i] * pair.weights[j]).is_identity() or rng.random() < 0.4:
+                continue
+            c = rng.randint(-2, 2)
+            additive = [rng.randint(-2, 2) for _ in range(base.additive_rank)]
+            pair.set_bracket(i, j, LieFunctional(base, field, [c * e for e in free_dir],
+                                                 [0] * len(base.torsion), additive))
+    return pair
+
+
+def test_normal_chain_matches_stepwise_oracle():
+    """The weights-only chain equals the chain built by re-validating and
+    rebuilding every step's sub-pair; it has dim V Ga_minus factors, and both
+    refuse an invalid pair."""
+    rng = random.Random(25)
+    for field in (Q, F5):
+        for _ in range(40):
+            pair = _random_chain_pair(field, rng)
+            assert check_pair(pair).ok
+            result = normal_chain(pair)
+            assert result.to_json() == normal_chain_stepwise(pair).to_json()
+            assert sum(f.kind == "Ga_minus" for f in result.factors) == pair.dim_v
+            # an opposite pair (c, c^-1) bracketing to x with <x, c> = 1
+            base, n = pair.base, pair.dim_v
+            c = base.character([1] + [rng.randint(-2, 2) for _ in range(base.ncoords - 1)])
+            bad = HarishChandraPair(field, base, pair.weights + [c, c.inverse()])
+            e0 = [1] + [0] * (base.free_rank - 1)
+            bad.set_bracket(n, n + 1, LieFunctional(base, field, e0, [0] * len(base.torsion),
+                                                    [0] * base.additive_rank))
+            for chain in (normal_chain, normal_chain_stepwise):
+                with pytest.raises(UnsupportedBase):
+                    chain(bad)
 
 
 def test_classification_golden_file():

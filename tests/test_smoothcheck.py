@@ -13,6 +13,8 @@ from superhopf.smoothcheck import (
     NonTerminatingRewrite,
     Polynomial,
     PolyRing,
+    Relation,
+    SYM_ONE,
     SuperAlgebraPresentation,
     UndecidableBase,
     compute_gr,
@@ -22,7 +24,6 @@ from superhopf.smoothcheck import (
     is_regular,
     is_smooth,
     polynomial_matrix_rank,
-    presentation_from_algebra,
 )
 
 from oracles import is_separable
@@ -292,6 +293,27 @@ def test_hopf_smooth_reduction_verdicts():
     assert hopf_smooth_reduction(aq)["smooth"]
     assert hopf_smooth_reduction(aq)["odd_cotangent_dim"] == 1
     assert hopf_smooth_reduction(group_algebra(Q, Gm))["odd_cotangent_dim"] == 0
+
+
+def presentation_from_algebra(alg) -> SuperAlgebraPresentation:
+    """Presentation of a monomial Hopf superalgebra with finite diagonalizable
+    part: one variable per torsion factor (u^n = 1), one per additive factor,
+    and the single odd generator when present."""
+    if alg.group.free_rank:
+        raise UndecidableBase("free multiplicative factors need inverted variables")
+    names = [f"u{i+1}" for i in range(len(alg.group.torsion))]
+    names += [f"t{j+1}" for j in range(alg.group.additive_rank)]
+    field = alg.field
+    pres = SuperAlgebraPresentation(
+        field,
+        names,
+        [],
+        ("z",) if alg.with_z else (),
+    )
+    for i, n in enumerate(alg.group.torsion):
+        tail = pres.element({((0,) * len(names), SYM_ONE): 1})
+        pres.relations.append(Relation(i, n, tail))
+    return pres
 
 
 def test_presentation_agrees_with_reduction_on_decidable_bases():
